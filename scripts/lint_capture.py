@@ -18,7 +18,8 @@ A finding is a lambda whose capture list contains `&` appearing in the
 argument region of a *sink*:
 
   * rank-body runners: simmpi::run, run_test, run_config, run_repeated,
-    run_driver, run_with_recovery, run_graph, run_graph_with_recovery
+    run_driver, run_attempts, run_with_recovery, run_with_retry,
+    run_graph, run_graph_with_recovery
   * sched callback slots: assignments to .producer / .kv_map / .reduce /
     .partial / .consume / .skip / .make_state
   * with --strict, also per-job map/reduce callbacks (job.map_custom,
@@ -51,7 +52,9 @@ CALL_SINKS = [
     r"\brun_config",
     r"\brun_repeated",
     r"\brun_driver",
+    r"\brun_attempts",
     r"\brun_with_recovery",
+    r"\brun_with_retry",
     r"\brun_graph_with_recovery",
     r"\brun_graph",
 ]

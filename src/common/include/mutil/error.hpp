@@ -24,15 +24,22 @@ class Error : public std::runtime_error {
 class OutOfMemoryError : public Error {
  public:
   OutOfMemoryError(const std::string& what, std::size_t requested,
-                   std::size_t limit)
-      : Error(what), requested_(requested), limit_(limit) {}
+                   std::size_t limit, double sim_time = 0.0)
+      : Error(what),
+        requested_(requested),
+        limit_(limit),
+        sim_time_(sim_time) {}
 
   std::size_t requested() const noexcept { return requested_; }
   std::size_t limit() const noexcept { return limit_; }
+  /// Simulated seconds on the throwing rank's clock; 0 unless a
+  /// recovery loop stamped it (the tracker has no clock).
+  double sim_time() const noexcept { return sim_time_; }
 
  private:
   std::size_t requested_;
   std::size_t limit_;
+  double sim_time_;
 };
 
 /// Raised on simulated parallel-file-system failures (missing file,

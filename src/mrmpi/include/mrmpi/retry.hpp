@@ -7,12 +7,11 @@
 // honest baseline cost: every retry pays the full job again plus the
 // scheduler's backoff, and nothing is salvaged from the failed attempt.
 //
-// The loop mirrors mimir::run_with_recovery's failure classification:
-// rank/node crashes and transient PFS errors are retried with
-// exponential backoff riding the simulated clock; UsageError/ConfigError
-// are caller bugs and rethrown; OutOfMemoryError is final — MR-MPI's
-// answer to memory pressure is its out-of-core spill mode, not a
-// degradation ladder, so a job that OOMs once will OOM on every retry.
+// run_with_retry is a body on mimir::run_attempts (mimir/recovery.hpp),
+// the attempt loop Mimir's recovery runs on too, so both frameworks
+// retry under the same rules. It passes no OOM hook: MR-MPI's answer to
+// memory pressure is its out-of-core spill mode, not a degradation
+// ladder, so a job that OOMs once would OOM on every retry.
 #pragma once
 
 #include <functional>
@@ -22,29 +21,16 @@
 
 namespace mrmpi {
 
-struct RetryPolicy {
-  int max_attempts = 5;       ///< total attempts (first try included)
-  double backoff_base = 0.5;  ///< simulated seconds before attempt 2
-  double backoff_factor = 2.0;
-};
-
-struct RetryOutcome {
-  simmpi::JobStats stats;  ///< the successful attempt (clock includes
-                           ///< failed attempts and backoff)
-  int attempts = 1;
-  double total_backoff = 0.0;
-  std::vector<mimir::AttemptRecord> history;
-};
+using RetryPolicy = mimir::RetryPolicy;
+using RetryOutcome = mimir::RetryOutcome;
 
 /// The whole MR-MPI job, re-run verbatim on every attempt. Must be
 /// restartable: rank-local state it builds is recreated from scratch.
 using RetryBody = std::function<void(simmpi::Context&)>;
 
-/// Run `body` on `nranks` ranks, restarting the whole job on rank
-/// crashes and transient PFS errors until it completes or
-/// `policy.max_attempts` is exhausted (then the last failure is
-/// rethrown). `fault_plan` injects failures with node topology bound
-/// from `machine` (inject/fault.hpp).
+/// Run `body` on `nranks` ranks, restarting the whole job until it
+/// completes or `policy.max_attempts` is exhausted (analyzer
+/// "mrmpi-retry", counter prefix "mrmpi.retry").
 RetryOutcome run_with_retry(int nranks,
                             const simtime::MachineProfile& machine,
                             pfs::FileSystem& fs, const RetryBody& body,

@@ -1,14 +1,6 @@
 #include "mrmpi/retry.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <optional>
-#include <string>
-#include <utility>
-
-#include "check/checker.hpp"
 #include "mutil/error.hpp"
-#include "stats/registry.hpp"
 
 namespace mrmpi {
 
@@ -22,105 +14,14 @@ RetryOutcome run_with_retry(int nranks,
   if (!body) {
     throw mutil::UsageError("run_with_retry: body is required");
   }
-  if (policy.max_attempts < 1) {
-    throw mutil::UsageError("run_with_retry: max_attempts must be >= 1");
-  }
-
-  RetryOutcome out;
-  // Each attempt starts with the clock advanced past the previous
-  // failure plus the backoff, so the successful attempt's sim_time is
-  // the total simulated time-to-completion.
-  double start_offset = 0.0;
-
-  const auto diag = [&](check::Severity severity, std::string code,
-                        std::string message, int failed_rank,
-                        double failed_time) {
-    if (checker == nullptr) return;
-    check::Diagnostic d;
-    d.severity = severity;
-    d.analyzer = "mrmpi-retry";
-    d.code = std::move(code);
-    d.message = std::move(message);
-    if (failed_rank >= 0) d.ranks = {failed_rank};
-    d.sim_time = failed_time;
-    checker->report().add(std::move(d));
+  mimir::AttemptLoop loop;
+  loop.analyzer = "mrmpi-retry";
+  loop.counters = "mrmpi.retry";
+  loop.body = [&body](simmpi::Context& ctx, const mimir::Attempt&) {
+    body(ctx);
   };
-
-  for (int attempt = 1;; ++attempt) {
-    mimir::AttemptRecord rec;
-    rec.attempt = attempt;
-
-    std::exception_ptr failure;
-    try {
-      out.stats = simmpi::run(
-          nranks, machine, fs,
-          [&](simmpi::Context& ctx) {
-            std::optional<inject::Injector> injector;
-            std::optional<inject::ScopedInject> scope;
-            if (fault_plan != nullptr && !fault_plan->empty()) {
-              injector.emplace(*fault_plan, ctx.rank(), attempt);
-              injector->bind(&ctx.clock(), &ctx.tracker);
-              injector->set_topology(machine.ranks_per_node);
-              scope.emplace(&*injector);
-            }
-            if (start_offset > 0.0) ctx.clock().advance(start_offset);
-
-            body(ctx);
-
-            if (stats::Registry* reg = stats::current()) {
-              reg->add("mrmpi.retry.attempts",
-                       static_cast<std::uint64_t>(attempt));
-              reg->add_seconds("mrmpi.retry.backoff_seconds",
-                               out.total_backoff);
-            }
-          },
-          collector, checker);
-      rec.ok = true;
-      out.history.push_back(rec);
-      out.attempts = attempt;
-      return out;
-    } catch (const mutil::UsageError&) {
-      throw;  // caller bug, not a fault — never retried
-    } catch (const mutil::ConfigError&) {
-      throw;
-    } catch (const mutil::OutOfMemoryError&) {
-      // No degradation ladder here: MR-MPI's fixed page allocation
-      // means the retry would need the same memory and fail again.
-      throw;
-    } catch (const mutil::RankFailedError& e) {
-      failure = std::current_exception();
-      rec.error = e.what();
-      rec.failed_rank = e.rank();
-      rec.failed_time = e.sim_time();
-    } catch (const mutil::TransientIoError& e) {
-      failure = std::current_exception();
-      rec.error = e.what();
-      rec.failed_time = e.sim_time();
-    }
-
-    if (attempt >= policy.max_attempts) {
-      out.history.push_back(rec);
-      out.attempts = attempt;
-      diag(check::Severity::kError, "retries-exhausted",
-           "giving up after " + std::to_string(attempt) +
-               " attempts: " + rec.error,
-           rec.failed_rank, rec.failed_time);
-      std::rethrow_exception(failure);
-    }
-
-    const double backoff =
-        policy.backoff_base *
-        std::pow(policy.backoff_factor, static_cast<double>(attempt - 1));
-    rec.backoff = backoff;
-    out.total_backoff += backoff;
-    start_offset = std::max(start_offset, rec.failed_time) + backoff;
-    out.history.push_back(rec);
-    diag(check::Severity::kWarning, "attempt-failed",
-         "attempt " + std::to_string(attempt) + " failed (" + rec.error +
-             "); restarting from scratch after " +
-             std::to_string(backoff) + "s simulated backoff",
-         rec.failed_rank, rec.failed_time);
-  }
+  return mimir::run_attempts(nranks, machine, fs, loop, policy, fault_plan,
+                             collector, checker);
 }
 
 }  // namespace mrmpi

@@ -11,11 +11,11 @@
 // to the graph: every completed node's output is checkpointed to the
 // PFS under "<prefix>-n<id>", so a retry resumes each completed node by
 // reloading its container — completed ancestors are never re-executed,
-// only their consume hooks replay to rebuild rank-local state. The
-// retry loop classifies failures exactly like the single-job path:
-// rank/node crashes and transient PFS errors back off and retry,
-// OutOfMemoryError walks the degradation ladder (halving the live-bytes
-// budget graph-wide), UsageError/ConfigError are rethrown.
+// only their consume hooks replay to rebuild rank-local state. Failures
+// are classified, backed off and reported by the shared attempt loop
+// (mimir::run_attempts; analyzer and counter prefix "sched"); its OOM
+// hook is mimir::oom_ladder, capping the live-bytes budget graph-wide.
+// run_graph is the same execution as a single attempt with no retry.
 #pragma once
 
 #include <cstdint>
@@ -34,17 +34,13 @@ class JobChecker;
 
 namespace sched {
 
-/// Result of a graph run (successful attempt).
-struct GraphOutcome {
-  simmpi::JobStats stats;  ///< whole-graph stats (one simmpi::run)
+/// Result of a graph run: the successful attempt's whole-graph stats
+/// (one simmpi::run), attempt history and resume/degradation flags
+/// (`resumed`: some attempt reloaded checkpoints; `degraded`: the OOM
+/// ladder engaged), plus the schedule.
+struct GraphOutcome : mimir::RecoveryOutcome {
   Plan plan;               ///< the schedule that was executed
-  int attempts = 1;
-  bool resumed = false;          ///< some attempt reloaded checkpoints
   std::uint64_t resumed_nodes = 0;  ///< nodes restored instead of re-run
-  bool degraded = false;         ///< OOM degradation ladder engaged
-  std::uint64_t degraded_live_bytes = 0;
-  double total_backoff = 0.0;
-  std::vector<mimir::AttemptRecord> history;
   /// Longest completion chain of the successful attempt; empty unless a
   /// stats collector was attached (also exported to the collector as
   /// the "critical_path" summary section).

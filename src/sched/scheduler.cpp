@@ -2,17 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
 
-#include "check/checker.hpp"
 #include "check/race.hpp"
 #include "memtrack/tracker.hpp"
 #include "mimir/checkpoint.hpp"
-#include "mutil/error.hpp"
 #include "stats/registry.hpp"
 #include "stats/trace.hpp"
 
@@ -21,23 +18,17 @@ namespace sched {
 namespace {
 
 /// Per-run knobs shared by every rank thread (read-only during the run,
-/// except the atomic resume flags).
+/// except the atomic resume marks).
 struct ExecControl {
   bool checkpoint = false;
   std::string prefix;
   bool keep_checkpoints = false;
-  int attempt = 1;
-  /// Graph-wide ooc_live_bytes cap from the OOM degradation ladder
-  /// (0 = not engaged). Composes with per-node planner overrides.
-  std::uint64_t degraded_live = 0;
-  const inject::FaultPlan* fault_plan = nullptr;
-  double start_offset = 0.0;
-  double total_backoff = 0.0;
   /// Graph-wide skew-balance override (-1 inherit node config, 0/1
   /// force off/on); mirrors GraphOptions::balance.
   int balance = -1;
-  /// Set per node id when a rank restores it from its checkpoint.
-  std::vector<std::atomic<bool>>* resumed_flags = nullptr;
+  /// Per node id: the last attempt that restored it from its checkpoint
+  /// (0 = none).
+  std::vector<std::atomic<int>>* resumed_at = nullptr;
 };
 
 std::string node_checkpoint(const std::string& prefix, int id) {
@@ -57,7 +48,7 @@ std::uint64_t handoff_key(int id, int rank) {
 void run_group(simmpi::Context& exec, simmpi::Context& world,
                const Graph& graph, const Plan& plan,
                const GroupPlan& group, const ExecControl& ctl,
-               void* state) {
+               const mimir::Attempt& attempt, void* state) {
   // Producer outputs still owed to consumers, with remaining reader
   // counts — the refcounted handoff. All nodes of a weakly-connected
   // component run in the same group, so no container crosses groups.
@@ -74,11 +65,13 @@ void run_group(simmpi::Context& exec, simmpi::Context& world,
     if (plan.live_bytes[static_cast<std::size_t>(id)] != 0) {
       cfg.ooc_live_bytes = plan.live_bytes[static_cast<std::size_t>(id)];
     }
-    if (ctl.degraded_live != 0) {
+    // The OOM ladder's graph-wide cap composes with per-node planner
+    // overrides.
+    if (attempt.live_budget != 0) {
       cfg.ooc_live_bytes =
           cfg.ooc_live_bytes == 0
-              ? ctl.degraded_live
-              : std::min(cfg.ooc_live_bytes, ctl.degraded_live);
+              ? attempt.live_budget
+              : std::min(cfg.ooc_live_bytes, attempt.live_budget);
     }
     if (ctl.balance >= 0) {
       cfg.balance.enabled = ctl.balance != 0;
@@ -94,13 +87,13 @@ void run_group(simmpi::Context& exec, simmpi::Context& world,
     bool skipped = false;
     std::optional<mimir::KVContainer> out;
 
-    if (ctl.checkpoint && ctl.attempt > 1 &&
+    if (ctl.checkpoint && attempt.number > 1 &&
         mimir::checkpoint_exists(exec, ckpt)) {
       // Completed ancestor: restore its output instead of re-running.
       // The load itself is skipped when nobody reads the output (no
       // consume hook, no data consumers).
-      (*ctl.resumed_flags)[static_cast<std::size_t>(id)].store(
-          true, std::memory_order_relaxed);
+      (*ctl.resumed_at)[static_cast<std::size_t>(id)].store(
+          attempt.number, std::memory_order_relaxed);
       nctx.resumed = true;
       if (node.consume || graph.data_consumers(id) > 0) {
         // Restored handoff containers are scheduler-owned, not part of
@@ -196,17 +189,8 @@ void run_group(simmpi::Context& exec, simmpi::Context& world,
 
 /// The rank function for one attempt.
 void run_rank(simmpi::Context& world, const Graph& graph, const Plan& plan,
-              const GraphOptions& options, const ExecControl& ctl) {
-  std::optional<inject::Injector> injector;
-  std::optional<inject::ScopedInject> scope;
-  if (ctl.fault_plan != nullptr && !ctl.fault_plan->empty()) {
-    injector.emplace(*ctl.fault_plan, world.rank(), ctl.attempt);
-    injector->bind(&world.clock(), &world.tracker);
-    injector->set_topology(world.machine.ranks_per_node);
-    scope.emplace(&*injector);
-  }
-  if (ctl.start_offset > 0.0) world.clock().advance(ctl.start_offset);
-
+              const GraphOptions& options, const ExecControl& ctl,
+              const mimir::Attempt& attempt) {
   std::shared_ptr<void> state;
   if (options.make_state) state = options.make_state(world);
 
@@ -216,7 +200,7 @@ void run_rank(simmpi::Context& world, const Graph& graph, const Plan& plan,
       // no synchronization beyond the jobs' own collectives, i.e. the
       // exact execution shape of the manual sequential loop.
       run_group(world, world, graph, plan, wave.groups.front(), ctl,
-                state.get());
+                attempt, state.get());
       continue;
     }
     int color = -1;
@@ -231,7 +215,7 @@ void run_rank(simmpi::Context& world, const Graph& graph, const Plan& plan,
       auto sub = world.comm.split(color, world.comm.rank());
       simmpi::Context exec{*sub, world.tracker, world.fs, world.machine};
       run_group(exec, world, graph, plan,
-                wave.groups[static_cast<std::size_t>(color)], ctl,
+                wave.groups[static_cast<std::size_t>(color)], ctl, attempt,
                 state.get());
     }
     // Branches finish at different simulated times; the wave boundary
@@ -268,8 +252,8 @@ void run_rank(simmpi::Context& world, const Graph& graph, const Plan& plan,
 
   if (stats::Registry* reg = stats::current()) {
     std::uint64_t my_resumed = 0;
-    for (const auto& flag : *ctl.resumed_flags) {
-      if (flag.load(std::memory_order_relaxed)) ++my_resumed;
+    for (const auto& at : *ctl.resumed_at) {
+      if (at.load(std::memory_order_relaxed) == attempt.number) ++my_resumed;
     }
     reg->add("sched.jobs", static_cast<std::uint64_t>(graph.size()));
     reg->add("sched.admitted",
@@ -280,46 +264,54 @@ void run_rank(simmpi::Context& world, const Graph& graph, const Plan& plan,
              static_cast<std::uint64_t>(plan.degraded_nodes));
     reg->add("sched.waves",
              static_cast<std::uint64_t>(plan.waves.size()));
-    reg->add("sched.attempts", static_cast<std::uint64_t>(ctl.attempt));
     reg->add("sched.resumed_nodes", my_resumed);
-    reg->add_seconds("sched.backoff_seconds", ctl.total_backoff);
   }
 }
 
-std::uint64_t count_resumed(const std::vector<std::atomic<bool>>& flags) {
-  std::uint64_t n = 0;
-  for (const auto& flag : flags) {
-    if (flag.load(std::memory_order_relaxed)) ++n;
-  }
-  return n;
-}
-
-}  // namespace
-
-GraphOutcome run_graph(int nranks, const simtime::MachineProfile& machine,
-                       pfs::FileSystem& fs, const Graph& graph,
-                       const GraphOptions& options,
-                       stats::Collector* collector,
-                       check::JobChecker* checker) {
+/// Plan `graph` and run it through the attempt loop: everything
+/// run_graph and run_graph_with_recovery share. `checkpoint` turns the
+/// per-node checkpoints on, named after policy.checkpoint.
+GraphOutcome execute(int nranks, const simtime::MachineProfile& machine,
+                     pfs::FileSystem& fs, const Graph& graph,
+                     const GraphOptions& options,
+                     const mimir::RecoveryPolicy& policy, bool checkpoint,
+                     const inject::FaultPlan* fault_plan,
+                     stats::Collector* collector,
+                     check::JobChecker* checker) {
   GraphOutcome out;
   out.plan = plan_graph(graph, nranks, machine, options);
 
-  ExecControl ctl;
-  ctl.checkpoint = options.checkpoint;
-  ctl.prefix = options.checkpoint_prefix;
-  ctl.keep_checkpoints = options.keep_checkpoints;
-  ctl.balance = options.balance;
-  std::vector<std::atomic<bool>> resumed_flags(
+  std::vector<std::atomic<int>> resumed_at(
       static_cast<std::size_t>(graph.size()));
-  ctl.resumed_flags = &resumed_flags;
+  ExecControl ctl;
+  ctl.checkpoint = checkpoint;
+  ctl.prefix = policy.checkpoint;
+  ctl.keep_checkpoints = policy.keep_checkpoint;
+  ctl.balance = options.balance;
+  ctl.resumed_at = &resumed_at;
 
-  out.stats = simmpi::run(
-      nranks, machine, fs,
-      [&](simmpi::Context& ctx) {
-        run_rank(ctx, graph, out.plan, options, ctl);
-      },
-      collector, checker);
-  out.resumed_nodes = count_resumed(resumed_flags);
+  // The degradation ladder bottoms out when halving again would drop
+  // some node's live budget below its page size.
+  std::uint64_t max_page = 0;
+  for (int id = 0; id < graph.size(); ++id) {
+    max_page = std::max(max_page, graph.node(id).config.page_size);
+  }
+
+  mimir::AttemptLoop loop;
+  loop.analyzer = "sched";
+  loop.counters = "sched";
+  loop.on_oom = mimir::oom_ladder(policy, machine, max_page, out);
+  loop.body = [&](simmpi::Context& ctx, const mimir::Attempt& attempt) {
+    run_rank(ctx, graph, out.plan, options, ctl, attempt);
+  };
+  static_cast<mimir::RetryOutcome&>(out) = mimir::run_attempts(
+      nranks, machine, fs, loop, policy, fault_plan, collector, checker);
+
+  for (const auto& at : resumed_at) {
+    const int resumed = at.load(std::memory_order_relaxed);
+    out.resumed = out.resumed || resumed != 0;
+    if (resumed == out.attempts) ++out.resumed_nodes;
+  }
   if (collector != nullptr) {
     out.critical = critical_path(graph, out.plan, *collector);
     if (!out.critical.empty()) {
@@ -329,146 +321,30 @@ GraphOutcome run_graph(int nranks, const simtime::MachineProfile& machine,
   return out;
 }
 
+}  // namespace
+
+GraphOutcome run_graph(int nranks, const simtime::MachineProfile& machine,
+                       pfs::FileSystem& fs, const Graph& graph,
+                       const GraphOptions& options,
+                       stats::Collector* collector,
+                       check::JobChecker* checker) {
+  mimir::RecoveryPolicy once;
+  once.max_attempts = 1;
+  once.degrade_on_oom = false;
+  once.checkpoint = options.checkpoint_prefix;
+  once.keep_checkpoint = options.keep_checkpoints;
+  return execute(nranks, machine, fs, graph, options, once,
+                 options.checkpoint, nullptr, collector, checker);
+}
+
 GraphOutcome run_graph_with_recovery(
     int nranks, const simtime::MachineProfile& machine,
     pfs::FileSystem& fs, const Graph& graph, const GraphOptions& options,
     const mimir::RecoveryPolicy& policy,
     const inject::FaultPlan* fault_plan, stats::Collector* collector,
     check::JobChecker* checker) {
-  GraphOutcome out;
-  out.plan = plan_graph(graph, nranks, machine, options);
-
-  // The degradation ladder bottoms out when halving again would drop
-  // some node's live budget below its page size.
-  std::uint64_t max_page = 0;
-  for (int id = 0; id < graph.size(); ++id) {
-    max_page = std::max(max_page, graph.node(id).config.page_size);
-  }
-
-  const auto diag = [&](check::Severity severity, std::string code,
-                        std::string message, int failed_rank,
-                        double failed_time) {
-    if (checker == nullptr) return;
-    check::Diagnostic d;
-    d.severity = severity;
-    d.analyzer = "sched";
-    d.code = std::move(code);
-    d.message = std::move(message);
-    if (failed_rank >= 0) d.ranks = {failed_rank};
-    d.sim_time = failed_time;
-    checker->report().add(std::move(d));
-  };
-
-  ExecControl ctl;
-  ctl.checkpoint = true;
-  ctl.prefix = policy.checkpoint;
-  ctl.keep_checkpoints = policy.keep_checkpoint;
-  ctl.fault_plan = fault_plan;
-  ctl.balance = options.balance;
-
-  bool resumed_any = false;
-  for (int attempt = 1;; ++attempt) {
-    mimir::AttemptRecord rec;
-    rec.attempt = attempt;
-    rec.live_budget = ctl.degraded_live;
-    ctl.attempt = attempt;
-
-    std::vector<std::atomic<bool>> resumed_flags(
-        static_cast<std::size_t>(graph.size()));
-    ctl.resumed_flags = &resumed_flags;
-
-    std::exception_ptr failure;
-    bool oom = false;
-    try {
-      out.stats = simmpi::run(
-          nranks, machine, fs,
-          [&](simmpi::Context& ctx) {
-            run_rank(ctx, graph, out.plan, options, ctl);
-          },
-          collector, checker);
-      rec.ok = true;
-      out.history.push_back(rec);
-      out.attempts = attempt;
-      out.resumed_nodes = count_resumed(resumed_flags);
-      out.resumed = resumed_any || out.resumed_nodes != 0;
-      out.total_backoff = ctl.total_backoff;
-      out.degraded = out.degraded || ctl.degraded_live != 0;
-      out.degraded_live_bytes = ctl.degraded_live;
-      if (collector != nullptr) {
-        out.critical = critical_path(graph, out.plan, *collector);
-        if (!out.critical.empty()) {
-          collector->set_section("critical_path", out.critical.json());
-        }
-      }
-      return out;
-    } catch (const mutil::UsageError&) {
-      throw;  // caller bug, not a fault — never retried
-    } catch (const mutil::ConfigError&) {
-      throw;
-    } catch (const mutil::OutOfMemoryError& e) {
-      failure = std::current_exception();
-      rec.error = e.what();
-      oom = true;
-    } catch (const mutil::RankFailedError& e) {
-      failure = std::current_exception();
-      rec.error = e.what();
-      rec.failed_rank = e.rank();
-      rec.failed_time = e.sim_time();
-    } catch (const mutil::TransientIoError& e) {
-      failure = std::current_exception();
-      rec.error = e.what();
-      rec.failed_time = e.sim_time();
-    }
-    resumed_any = resumed_any || count_resumed(resumed_flags) != 0;
-
-    if (oom) {
-      // Graph-wide graceful degradation, mirroring run_with_recovery:
-      // restart with out-of-core spill capped at half the previous live
-      // budget (starting from the per-rank share of node memory).
-      std::uint64_t base = ctl.degraded_live;
-      if (base == 0 && machine.node_memory != 0) {
-        base = machine.node_memory /
-               static_cast<std::uint64_t>(
-                   std::max(1, machine.ranks_per_node));
-      }
-      const std::uint64_t next = base / 2;
-      if (!policy.degrade_on_oom || next < max_page) {
-        out.history.push_back(rec);
-        std::rethrow_exception(failure);
-      }
-      ctl.degraded_live = next;
-      out.degraded = true;
-      out.degraded_live_bytes = next;
-      diag(check::Severity::kWarning, "oom-degraded",
-           "graph attempt " + std::to_string(attempt) +
-               " ran out of memory; retrying with ooc_live_bytes=" +
-               std::to_string(next),
-           -1, rec.failed_time);
-    }
-
-    if (attempt >= policy.max_attempts) {
-      out.history.push_back(rec);
-      out.attempts = attempt;
-      diag(check::Severity::kError, "retries-exhausted",
-           "giving up on graph after " + std::to_string(attempt) +
-               " attempts: " + rec.error,
-           rec.failed_rank, rec.failed_time);
-      std::rethrow_exception(failure);
-    }
-
-    const double backoff =
-        policy.backoff_base *
-        std::pow(policy.backoff_factor, static_cast<double>(attempt - 1));
-    rec.backoff = backoff;
-    ctl.total_backoff += backoff;
-    ctl.start_offset = std::max(ctl.start_offset, rec.failed_time) + backoff;
-    out.history.push_back(rec);
-    diag(check::Severity::kWarning, "attempt-failed",
-         "graph attempt " + std::to_string(attempt) + " failed (" +
-             rec.error + "); retrying after " + std::to_string(backoff) +
-             "s simulated backoff",
-         rec.failed_rank, rec.failed_time);
-  }
+  return execute(nranks, machine, fs, graph, options, policy,
+                 /*checkpoint=*/true, fault_plan, collector, checker);
 }
 
 }  // namespace sched

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <exception>
 #include <numeric>
 
 #include "check/checker.hpp"
@@ -570,8 +571,9 @@ std::uint64_t nb_race_key(const SharedState& s, std::uint64_t key) {
 /// fingerprints, move all data, publish results, wake waiters. May
 /// throw (verification mismatch, receive-buffer overflow) — the
 /// thrower unwinds, the runtime aborts the job, and blocked peers wake
-/// via the abort channel.
+/// via the abort channel. A withdrawn op is left incomplete.
 void nb_complete_locked(SharedState& s, NbOp& op) {
+  if (op.withdrawn) return;
   if (s.checker != nullptr && !op.fps.empty()) {
     s.checker->verify_collective(op.fps, s.check_ranks);
   }
@@ -832,6 +834,30 @@ void Communicator::nb_wait(Request& request) {
   }
   stats_.bytes_sent += sent;
   stats_.bytes_received += received;
+}
+
+void Communicator::nb_withdraw(std::uint64_t key) noexcept {
+  auto& s = *shared_;
+  {
+    const std::scoped_lock lock(s.mutex);
+    const auto it = s.nb_ops.find(key);
+    if (it != s.nb_ops.end() && !it->second.complete) {
+      NbOp::Part& part = it->second.parts[static_cast<std::size_t>(rank_)];
+      part.send = nullptr;
+      part.recv = nullptr;
+      it->second.withdrawn = true;
+    }
+  }
+  if (std::uncaught_exceptions() == 0) {
+    s.abort(std::make_exception_ptr(mutil::UsageError(
+        "simmpi: rank " + std::to_string(check_global_rank()) +
+        " dropped non-blocking request #" + std::to_string(key) +
+        " before wait()")));
+  }
+}
+
+void Request::release() noexcept {
+  if (comm_ != nullptr && !waited_) comm_->nb_withdraw(key_);
 }
 
 bool Request::test() {

@@ -57,14 +57,21 @@ class Communicator;
 /// iallreduce_u64). Move-only; owned by the initiating rank thread.
 /// The buffers passed at initiation belong to the operation until
 /// wait() returns — the race detector reports any touch in between.
-/// Destroying an un-waited Request detaches: the operation still
-/// completes for the peers (its shared entry is reclaimed when the
-/// job's shared state dies), but this rank never learns the result.
+/// Dropping an un-waited Request (destroying it, or move-assigning
+/// over it) withdraws this rank: an operation that has not completed
+/// never will, so no peer copies out of or into this rank's buffers
+/// once they die, and peers blocked in wait() unwind when the job
+/// aborts. Only a rank unwinding an exception may do that; a drop with
+/// no exception in flight is a caller bug and aborts the job with
+/// mutil::UsageError. A waited Request destroys without touching
+/// shared state.
 class Request {
  public:
   Request() = default;
   Request(Request&& other) noexcept { *this = std::move(other); }
   Request& operator=(Request&& other) noexcept {
+    if (this == &other) return *this;
+    release();
     comm_ = other.comm_;
     key_ = other.key_;
     alltoallv_ = other.alltoallv_;
@@ -78,7 +85,7 @@ class Request {
     other.comm_ = nullptr;
     return *this;
   }
-  ~Request() = default;
+  ~Request() { release(); }
 
   Request(const Request&) = delete;
   Request& operator=(const Request&) = delete;
@@ -115,6 +122,9 @@ class Request {
         alltoallv_(alltoallv),
         send_base_(send_base),
         recv_base_(recv_base) {}
+
+  /// Withdraw an un-waited request from its operation (see above).
+  void release() noexcept;
 
   Communicator* comm_ = nullptr;
   std::uint64_t key_ = 0;
@@ -240,6 +250,7 @@ class Communicator {
   // Non-blocking machinery backing Request.
   bool nb_test(std::uint64_t key);
   void nb_wait(Request& request);
+  void nb_withdraw(std::uint64_t key) noexcept;
 
   // mimir-check hooks; all no-ops when the job's checker is null.
   bool checking() const noexcept;

@@ -92,6 +92,9 @@ struct NbOp {
   int arrived = 0;           ///< initiations so far
   int waited = 0;            ///< completed waits; erase at nranks
   bool complete = false;
+  /// A rank dropped its Request before completion: its buffers may be
+  /// gone, so the op never completes (peers unwind on the job abort).
+  bool withdrawn = false;
   double t_all = 0.0;        ///< max initiation clock across ranks
   std::uint64_t reduced = 0; ///< iallreduce result
   std::vector<Part> parts;
@@ -149,8 +152,8 @@ struct SharedState {
   // In-flight non-blocking collectives, keyed by initiation count.
   // Guarded by `mutex`; waiters sleep on `cv` (abort() already wakes
   // it, so a rank blocked in Request::wait unwinds on job abort like
-  // any barrier waiter). An abandoned Request leaves its entry here
-  // until every rank has waited or the job's SharedState dies.
+  // any barrier waiter). A withdrawn op leaves its entry here until the
+  // job's SharedState dies.
   std::map<std::uint64_t, NbOp> nb_ops;
 
   // mimir-check hooks. `checker` is null when checking is off (the

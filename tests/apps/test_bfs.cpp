@@ -113,15 +113,21 @@ TEST_P(BfsFrameworks, MatchesSerialReference) {
   });
 }
 
+// gtest prints a case's raw bytes into its ctest name; a static table has
+// zeroed padding, so the name is the same in every build (temporaries in
+// Values() would leave stack garbage there).
+constexpr BfsCase kBfsCases[] = {
+    {false, false, false, 1, "mimir_serial"},
+    {false, false, false, 4, "mimir_base"},
+    {false, true, false, 4, "mimir_hint"},
+    {false, true, true, 4, "mimir_hint_cps"},
+    {true, false, false, 4, "mrmpi_base"},
+    {true, false, true, 4, "mrmpi_cps"},
+    {false, false, false, 5, "mimir_p5"},
+};
+
 INSTANTIATE_TEST_SUITE_P(
-    Paths, BfsFrameworks,
-    ::testing::Values(BfsCase{false, false, false, 1, "mimir_serial"},
-                      BfsCase{false, false, false, 4, "mimir_base"},
-                      BfsCase{false, true, false, 4, "mimir_hint"},
-                      BfsCase{false, true, true, 4, "mimir_hint_cps"},
-                      BfsCase{true, false, false, 4, "mrmpi_base"},
-                      BfsCase{true, false, true, 4, "mrmpi_cps"},
-                      BfsCase{false, false, false, 5, "mimir_p5"}),
+    Paths, BfsFrameworks, ::testing::ValuesIn(kBfsCases),
     [](const auto& param_info) { return param_info.param.name; });
 
 TEST(Bfs, CompressionReducesPartitionKvCount) {

@@ -73,14 +73,20 @@ TEST_P(KMeansFrameworks, MatchesSerialReference) {
   });
 }
 
+// gtest prints a case's raw bytes into its ctest name; a static table has
+// zeroed padding, so the name is the same in every build (temporaries in
+// Values() would leave stack garbage there).
+constexpr KmCase kKmCases[] = {
+    {false, true, false, 1, "mimir_serial"},
+    {false, true, false, 4, "mimir_pr"},
+    {false, false, false, 4, "mimir_reduce"},
+    {false, true, true, 4, "mimir_pr_cps"},
+    {true, false, false, 3, "mrmpi"},
+    {true, false, true, 3, "mrmpi_cps"},
+};
+
 INSTANTIATE_TEST_SUITE_P(
-    Paths, KMeansFrameworks,
-    ::testing::Values(KmCase{false, true, false, 1, "mimir_serial"},
-                      KmCase{false, true, false, 4, "mimir_pr"},
-                      KmCase{false, false, false, 4, "mimir_reduce"},
-                      KmCase{false, true, true, 4, "mimir_pr_cps"},
-                      KmCase{true, false, false, 3, "mrmpi"},
-                      KmCase{true, false, true, 3, "mrmpi_cps"}),
+    Paths, KMeansFrameworks, ::testing::ValuesIn(kKmCases),
     [](const auto& param_info) { return param_info.param.name; });
 
 }  // namespace

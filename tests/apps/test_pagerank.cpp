@@ -64,14 +64,20 @@ TEST_P(PageRankFrameworks, MatchesSerialReference) {
   });
 }
 
+// gtest prints a case's raw bytes into its ctest name; a static table has
+// zeroed padding, so the name is the same in every build (temporaries in
+// Values() would leave stack garbage there).
+constexpr PrCase kPrCases[] = {
+    {false, false, false, 1, "mimir_serial"},
+    {false, false, false, 4, "mimir_base"},
+    {false, true, false, 4, "mimir_hint"},
+    {false, true, true, 4, "mimir_hint_cps"},
+    {true, false, false, 3, "mrmpi_base"},
+    {true, false, true, 3, "mrmpi_cps"},
+};
+
 INSTANTIATE_TEST_SUITE_P(
-    Paths, PageRankFrameworks,
-    ::testing::Values(PrCase{false, false, false, 1, "mimir_serial"},
-                      PrCase{false, false, false, 4, "mimir_base"},
-                      PrCase{false, true, false, 4, "mimir_hint"},
-                      PrCase{false, true, true, 4, "mimir_hint_cps"},
-                      PrCase{true, false, false, 3, "mrmpi_base"},
-                      PrCase{true, false, true, 3, "mrmpi_cps"}),
+    Paths, PageRankFrameworks, ::testing::ValuesIn(kPrCases),
     [](const auto& param_info) { return param_info.param.name; });
 
 TEST(PageRank, OverlappedShuffleIsBitIdentical) {

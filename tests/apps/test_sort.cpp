@@ -40,12 +40,18 @@ TEST_P(SampleSortFrameworks, ProducesGlobalOrder) {
   });
 }
 
+// gtest prints a case's raw bytes into its ctest name; a static table has
+// zeroed padding, so the name is the same in every build (temporaries in
+// Values() would leave stack garbage there).
+constexpr SortCase kSortCases[] = {
+    {false, 1, 1 << 10, "mimir_serial"},
+    {false, 4, 1 << 14, "mimir_p4"},
+    {false, 7, 1 << 14, "mimir_p7"},
+    {true, 4, 1 << 13, "mrmpi_p4"},
+};
+
 INSTANTIATE_TEST_SUITE_P(
-    Paths, SampleSortFrameworks,
-    ::testing::Values(SortCase{false, 1, 1 << 10, "mimir_serial"},
-                      SortCase{false, 4, 1 << 14, "mimir_p4"},
-                      SortCase{false, 7, 1 << 14, "mimir_p7"},
-                      SortCase{true, 4, 1 << 13, "mrmpi_p4"}),
+    Paths, SampleSortFrameworks, ::testing::ValuesIn(kSortCases),
     [](const auto& param_info) { return param_info.param.name; });
 
 TEST(SampleSort, RangePartitionBeatsHashForOrdering) {

@@ -131,14 +131,20 @@ TEST_P(WcFrameworks, MatchesSerialReference) {
   });
 }
 
+// gtest prints a case's raw bytes into its ctest name; a static table has
+// zeroed padding, so the name is the same in every build (temporaries in
+// Values() would leave stack garbage there).
+constexpr WcCase kWcCases[] = {
+    {false, false, false, false, "mimir_base"},
+    {false, true, false, false, "mimir_hint"},
+    {false, true, true, false, "mimir_hint_pr"},
+    {false, true, true, true, "mimir_all"},
+    {true, false, false, false, "mrmpi_base"},
+    {true, false, false, true, "mrmpi_cps"},
+};
+
 INSTANTIATE_TEST_SUITE_P(
-    Paths, WcFrameworks,
-    ::testing::Values(WcCase{false, false, false, false, "mimir_base"},
-                      WcCase{false, true, false, false, "mimir_hint"},
-                      WcCase{false, true, true, false, "mimir_hint_pr"},
-                      WcCase{false, true, true, true, "mimir_all"},
-                      WcCase{true, false, false, false, "mrmpi_base"},
-                      WcCase{true, false, false, true, "mrmpi_cps"}),
+    Paths, WcFrameworks, ::testing::ValuesIn(kWcCases),
     [](const auto& param_info) { return param_info.param.name; });
 
 TEST(WcOverlap, OverlappedShuffleIsBitIdentical) {

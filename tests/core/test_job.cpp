@@ -164,14 +164,20 @@ TEST_P(JobOptimizations, AllPathsProduceIdenticalCounts) {
   });
 }
 
+// gtest prints a case's raw bytes into its ctest name; a static table has
+// zeroed padding, so the name is the same in every build (temporaries in
+// Values() would leave stack garbage there).
+constexpr OptCase kOptCases[] = {
+    {false, false, false, "baseline"},
+    {true, false, false, "hint"},
+    {true, true, false, "hint_pr"},
+    {true, true, true, "hint_pr_cps"},
+    {false, false, true, "cps_only"},
+    {false, true, false, "pr_only"},
+};
+
 INSTANTIATE_TEST_SUITE_P(
-    Paths, JobOptimizations,
-    ::testing::Values(OptCase{false, false, false, "baseline"},
-                      OptCase{true, false, false, "hint"},
-                      OptCase{true, true, false, "hint_pr"},
-                      OptCase{true, true, true, "hint_pr_cps"},
-                      OptCase{false, false, true, "cps_only"},
-                      OptCase{false, true, false, "pr_only"}),
+    Paths, JobOptimizations, ::testing::ValuesIn(kOptCases),
     [](const auto& param_info) { return param_info.param.name; });
 
 TEST(Job, MapKvsChainsJobs) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,11 @@ struct HintCase {
   KVHint hint;
   const char* name;
 };
+
+// gtest's default print of a case is its raw bytes, which go into the
+// ctest name; they include the name pointer, which moves with the load
+// address, so print the case by name instead.
+void PrintTo(const HintCase& c, std::ostream* os) { *os << c.name; }
 
 class CodecRoundTrip : public ::testing::TestWithParam<HintCase> {};
 

@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <latch>
+#include <limits>
 #include <map>
 #include <mutex>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -332,6 +335,53 @@ TEST(Recovery, MemSpikeOverNodeBudgetRecoversOnRetry) {
   EXPECT_EQ(sink.merged().size(), 59u);
 }
 
+TEST(Recovery, OomRetryStartsPastTheFailedAttempt) {
+  // One rank per node: each rank's spike overruns its own node budget.
+  // Like a rank death, an OOM loses the attempt's simulated time, so
+  // the retry starts past it and cannot finish before a fault-free run.
+  constexpr int kOomRanks = 2;
+  auto machine = profile_with_io();
+  machine.ranks_per_node = 1;
+  machine.node_memory = 1 << 20;
+  machine.kv_rate = 1e4;
+  machine.map_rate = 1e4;
+  const auto run = [&machine](const FaultPlan* plan) {
+    pfs::FileSystem fs(machine, kOomRanks);
+    OutputSink sink;
+    return mimir::run_with_recovery(kOomRanks, machine, fs,
+                                    make_job(sink, {}, false, false), {},
+                                    plan);
+  };
+  const RecoveryOutcome clean = run(nullptr);
+  const FaultPlan plan = FaultPlan::parse("mem_spike:2M@reduce");
+  const RecoveryOutcome out = run(&plan);
+  ASSERT_EQ(out.attempts, 2);
+  EXPECT_TRUE(out.degraded);
+  EXPECT_GT(out.history[0].failed_time, 0.0);
+  EXPECT_GE(out.stats.sim_time,
+            out.history[0].failed_time + out.history[0].backoff);
+  EXPECT_GT(out.stats.sim_time, clean.stats.sim_time);
+}
+
+TEST(Recovery, InvalidPolicyIsRejectedBeforeTheFirstAttempt) {
+  const auto machine = profile_with_io();
+  const FaultPlan plan = FaultPlan::parse("rank_crash:0@reduce");
+  std::vector<RecoveryPolicy> policies(4);
+  policies[0].max_attempts = 0;
+  policies[1].backoff_base = -1.0;
+  policies[2].backoff_base = std::numeric_limits<double>::quiet_NaN();
+  policies[3].backoff_factor = 0.5;
+  for (const RecoveryPolicy& policy : policies) {
+    pfs::FileSystem fs(machine, kRanks);
+    OutputSink sink;
+    EXPECT_THROW((void)mimir::run_with_recovery(
+                     kRanks, machine, fs, make_job(sink, {}, false, false),
+                     policy, &plan),
+                 mutil::UsageError);
+    EXPECT_TRUE(sink.by_rank.empty()) << "no attempt may run";
+  }
+}
+
 TEST(Recovery, OverlappedShuffleCrashBetweenInitiateAndWait) {
   // The overlapped shuffle opens a window where a round is in flight:
   // after aggregate.initiate and before aggregate.wait. A rank dying in
@@ -372,6 +422,47 @@ TEST(Recovery, OverlappedShuffleCrashBetweenInitiateAndWait) {
   }
 }
 
+TEST(Recovery, CrashedRankWithdrawsItsInFlightExchange) {
+  // The ordered twin of the test above: rank 1 initiates and dies, and
+  // unwinding frees its buffers before rank 0, the last initiator,
+  // joins. The latches fix that order. The exchange must not complete
+  // on the freed buffers: rank 0's wait() unwinds with the rank death.
+  std::latch freed(1);
+  std::latch initiated(1);
+  const std::vector<std::uint64_t> counts{4, 4}, displs{0, 4};
+  EXPECT_THROW(
+      simmpi::run_test(
+          2,
+          [&](Context& ctx) {
+            if (ctx.rank() == 1) {
+              try {
+                std::vector<std::byte> send(8), recv(8);
+                simmpi::Request r =
+                    ctx.comm.ialltoallv(send, counts, displs, recv);
+                throw mutil::RankFailedError("rank 1 dies", 1);
+              } catch (const mutil::RankFailedError&) {
+                freed.count_down();
+                initiated.wait();
+                throw;
+              }
+            }
+            std::vector<std::byte> send(8), recv(8);
+            freed.wait();
+            simmpi::Request r =
+                ctx.comm.ialltoallv(send, counts, displs, recv);
+            initiated.count_down();
+            try {
+              r.wait();
+            } catch (const mutil::RankFailedError& e) {
+              EXPECT_EQ(e.rank(), 1);
+              throw;
+            }
+            ADD_FAILURE() << "wait() completed an exchange whose peer "
+                             "died with it in flight";
+          }),
+      mutil::RankFailedError);
+}
+
 // The property test: kill rank 1 at every phase boundary in turn; the
 // recovered output must be identical to the undisturbed run — across
 // the baseline, partial-reduce, KV-compression, and KV-hint configs.
@@ -381,6 +472,11 @@ struct PhaseKillCase {
   bool use_cps;
   bool use_hint;
 };
+
+// gtest's default print of a case is its raw bytes, which go into the
+// ctest name; here they start with the name pointer, which moves with the
+// load address, so print the case by name instead.
+void PrintTo(const PhaseKillCase& c, std::ostream* os) { *os << c.name; }
 
 class PhaseKill : public ::testing::TestWithParam<PhaseKillCase> {};
 

@@ -3,9 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "inject/fault.hpp"
 #include "mrmpi/mrmpi.hpp"
@@ -136,6 +138,24 @@ TEST(MrMpiRetry, RetriesExhaustedRethrows) {
   EXPECT_THROW(mrmpi::run_with_retry(kRanks, machine, fs, wordcount(sink),
                                      policy, &plan),
                mutil::RankFailedError);
+}
+
+TEST(MrMpiRetry, InvalidPolicyIsRejectedBeforeTheFirstAttempt) {
+  const auto machine = profile_with_io();
+  const FaultPlan plan = FaultPlan::parse("rank_crash:0@reduce");
+  std::vector<RetryPolicy> policies(4);
+  policies[0].max_attempts = 0;
+  policies[1].backoff_base = -1.0;
+  policies[2].backoff_base = std::numeric_limits<double>::quiet_NaN();
+  policies[3].backoff_factor = 0.5;
+  for (const RetryPolicy& policy : policies) {
+    pfs::FileSystem fs(machine, kRanks);
+    Sink sink;
+    EXPECT_THROW((void)mrmpi::run_with_retry(kRanks, machine, fs,
+                                             wordcount(sink), policy, &plan),
+                 mutil::UsageError);
+    EXPECT_TRUE(sink.by_rank.empty()) << "no attempt may run";
+  }
 }
 
 TEST(MrMpiRetry, UsageErrorsAreNeverRetried) {

@@ -91,12 +91,18 @@ TEST_P(SchedPageRank, BitIdenticalToManualLoopIncludingTopK) {
   }
 }
 
+// gtest prints a case's raw bytes into its ctest name; a static table has
+// zeroed padding, so the name is the same in every build (temporaries in
+// Values() would leave stack garbage there).
+constexpr AppCase kPageRankCases[] = {
+    {false, false, 1, "serial"},
+    {false, false, 4, "base"},
+    {true, false, 4, "hint"},
+    {true, true, 4, "hint_cps"},
+};
+
 INSTANTIATE_TEST_SUITE_P(
-    Paths, SchedPageRank,
-    ::testing::Values(AppCase{false, false, 1, "serial"},
-                      AppCase{false, false, 4, "base"},
-                      AppCase{true, false, 4, "hint"},
-                      AppCase{true, true, 4, "hint_cps"}),
+    Paths, SchedPageRank, ::testing::ValuesIn(kPageRankCases),
     [](const auto& param_info) { return std::string(param_info.param.name); });
 
 TEST(SchedPageRank, MidGraphNodeCrashResumesAndMatchesManual) {
@@ -206,12 +212,15 @@ TEST_P(SchedBfs, BitIdenticalToManualLoop) {
   }
 }
 
+constexpr AppCase kBfsCases[] = {
+    {false, false, 1, "serial"},
+    {false, false, 4, "base"},
+    {true, false, 4, "hint"},
+    {true, true, 4, "hint_cps"},
+};
+
 INSTANTIATE_TEST_SUITE_P(
-    Paths, SchedBfs,
-    ::testing::Values(AppCase{false, false, 1, "serial"},
-                      AppCase{false, false, 4, "base"},
-                      AppCase{true, false, 4, "hint"},
-                      AppCase{true, true, 4, "hint_cps"}),
+    Paths, SchedBfs, ::testing::ValuesIn(kBfsCases),
     [](const auto& param_info) { return std::string(param_info.param.name); });
 
 TEST(SchedBfs, TooFewLevelsIsAUsageError) {
@@ -281,12 +290,15 @@ TEST_P(SchedKmeans, BitIdenticalToManualLoop) {
   }
 }
 
+constexpr KmCase kKmeansCases[] = {
+    {true, true, false, 1, "serial"},
+    {true, true, false, 4, "hint_pr"},
+    {false, false, false, 4, "base_reduce"},
+    {true, true, true, 4, "hint_pr_cps"},
+};
+
 INSTANTIATE_TEST_SUITE_P(
-    Paths, SchedKmeans,
-    ::testing::Values(KmCase{true, true, false, 1, "serial"},
-                      KmCase{true, true, false, 4, "hint_pr"},
-                      KmCase{false, false, false, 4, "base_reduce"},
-                      KmCase{true, true, true, 4, "hint_pr_cps"}),
+    Paths, SchedKmeans, ::testing::ValuesIn(kKmeansCases),
     [](const auto& param_info) { return std::string(param_info.param.name); });
 
 }  // namespace

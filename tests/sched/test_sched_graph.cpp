@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -494,6 +495,53 @@ TEST(SchedRecovery, NodeCrashMidGraphResumesWithoutRerunningAncestors) {
   EXPECT_EQ(report.count("attempt-failed"), 1u);
   // Throwaway checkpoints are swept after success.
   EXPECT_TRUE(fs.list("ckpt/").empty());
+}
+
+TEST(SchedRecovery, OomRetryStartsPastTheFailedAttempt) {
+  // One rank per node: each rank's spike overruns its own node budget
+  // in the tail's reduce. The retry starts past the failed attempt's
+  // simulated time and cannot finish before a fault-free run.
+  constexpr int kRanks = 2;
+  auto machine = profile_with_io();
+  machine.ranks_per_node = 1;
+  machine.node_memory = 1 << 20;
+  machine.kv_rate = 1e4;
+  machine.map_rate = 1e4;
+  const auto run = [&machine](const inject::FaultPlan* plan) {
+    CountedChain c = counted_chain();
+    pfs::FileSystem fs(machine, kRanks);
+    return sched::run_graph_with_recovery(kRanks, machine, fs, c.graph, {},
+                                          {}, plan);
+  };
+  const sched::GraphOutcome clean = run(nullptr);
+  const inject::FaultPlan plan =
+      inject::FaultPlan::parse("mem_spike:2M@reduce");
+  const sched::GraphOutcome out = run(&plan);
+  ASSERT_EQ(out.attempts, 2);
+  EXPECT_TRUE(out.degraded);
+  EXPECT_GT(out.history[0].failed_time, 0.0);
+  EXPECT_GE(out.stats.sim_time,
+            out.history[0].failed_time + out.history[0].backoff);
+  EXPECT_GT(out.stats.sim_time, clean.stats.sim_time);
+}
+
+TEST(SchedRecovery, InvalidPolicyIsRejectedBeforeTheFirstAttempt) {
+  const auto machine = profile_with_io();
+  const inject::FaultPlan plan =
+      inject::FaultPlan::parse("rank_crash:0@reduce");
+  std::vector<mimir::RecoveryPolicy> policies(4);
+  policies[0].max_attempts = 0;
+  policies[1].backoff_base = -1.0;
+  policies[2].backoff_base = std::numeric_limits<double>::quiet_NaN();
+  policies[3].backoff_factor = 0.5;
+  for (const mimir::RecoveryPolicy& policy : policies) {
+    CountedChain c = counted_chain();
+    pfs::FileSystem fs(machine, 2);
+    EXPECT_THROW((void)sched::run_graph_with_recovery(2, machine, fs, c.graph,
+                                                      {}, policy, &plan),
+                 mutil::UsageError);
+    EXPECT_EQ(c.head_calls->load(), 0) << "no attempt may run";
+  }
 }
 
 TEST(SchedRecovery, UsageErrorsAreNotRetried) {

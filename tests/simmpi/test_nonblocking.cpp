@@ -2,7 +2,8 @@
 // and iallreduce_u64, the clock model (immediate wait reproduces the
 // blocking collective's time; in-flight compute hides communication and
 // is attributed as overlap, not wait), request handles across ranks,
-// and error paths (kind mismatch, receive-buffer overflow, abort wake).
+// and error paths (kind mismatch, receive-buffer overflow, abort wake,
+// a dropped request).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -234,6 +235,19 @@ TEST(NonblockingErrors, PeerFailureWakesWaiter) {
                          } else {
                            throw mutil::UsageError("rank 1 dies");
                          }
+                       }),
+      mutil::UsageError);
+}
+
+TEST(NonblockingErrors, DroppingAnUnwaitedRequestIsAUsageError) {
+  EXPECT_THROW(
+      simmpi::run_test(2,
+                       [](Context& ctx) {
+                         std::vector<std::byte> send(8), recv(8);
+                         const std::vector<std::uint64_t> counts{4, 4},
+                             displs{0, 4};
+                         Request r = ctx.comm.ialltoallv(send, counts,
+                                                         displs, recv);
                        }),
       mutil::UsageError);
 }
