@@ -42,10 +42,8 @@ const char* to_string(CollectiveOp op) noexcept {
     case CollectiveOp::kBarrier: return "barrier";
     case CollectiveOp::kAlltoallv: return "alltoallv";
     case CollectiveOp::kAlltoallU64: return "alltoall_u64";
-    case CollectiveOp::kAllreduceI64: return "allreduce_i64";
     case CollectiveOp::kAllreduceU64: return "allreduce_u64";
     case CollectiveOp::kAllreduceF64: return "allreduce_f64";
-    case CollectiveOp::kAllgatherI64: return "allgather_i64";
     case CollectiveOp::kAllgatherU64: return "allgather_u64";
     case CollectiveOp::kBcast: return "bcast";
     case CollectiveOp::kBcastU64: return "bcast_u64";
@@ -356,14 +354,11 @@ void JobChecker::local_error(int global_rank, std::string_view code,
 
 // -- progress watchdog --
 
-BlockedState JobChecker::block_enter(int global_rank,
-                                     BlockedState::Kind kind,
-                                     std::string what, int peer,
+BlockedState JobChecker::block_enter(int global_rank, std::string what,
                                      std::uint64_t seq, double sim_time) {
   BlockedState next;
-  next.kind = kind;
+  next.kind = BlockedState::Kind::kCollective;
   next.what = std::move(what);
-  next.peer = peer;
   next.seq = seq;
   next.sim_time = sim_time;
   const stats::Registry* reg = stats::current();
@@ -433,10 +428,7 @@ void JobChecker::watchdog_loop() {
     ids.reserve(snapshot.size());
     for (const BlockedState& s : snapshot) {
       if (s.kind == BlockedState::Kind::kNone) all_waiting = false;
-      if (s.kind == BlockedState::Kind::kCollective ||
-          s.kind == BlockedState::Kind::kRecv) {
-        any_blocked = true;
-      }
+      if (s.kind == BlockedState::Kind::kCollective) any_blocked = true;
       ids.push_back(s.id);
     }
 
@@ -459,24 +451,18 @@ std::string JobChecker::report_deadlock(
     const std::vector<BlockedState>& snapshot) {
   const int n = static_cast<int>(snapshot.size());
 
-  // Wait-for edges: a recv waits on its peer; a collective waits on
-  // every rank not currently inside the same collective entry.
+  // Wait-for edges: a blocked rank waits on every rank not currently
+  // inside the same collective entry.
   std::vector<std::vector<int>> waits_on(snapshot.size());
   for (int r = 0; r < n; ++r) {
     const BlockedState& s = snapshot[static_cast<std::size_t>(r)];
-    if (s.kind == BlockedState::Kind::kRecv) {
-      if (s.peer >= 0 && s.peer < n) {
-        waits_on[static_cast<std::size_t>(r)].push_back(s.peer);
-      }
-    } else if (s.kind == BlockedState::Kind::kCollective) {
-      for (int o = 0; o < n; ++o) {
-        if (o == r) continue;
-        const BlockedState& other = snapshot[static_cast<std::size_t>(o)];
-        const bool same_entry =
-            other.kind == BlockedState::Kind::kCollective &&
-            other.what == s.what && other.seq == s.seq;
-        if (!same_entry) waits_on[static_cast<std::size_t>(r)].push_back(o);
-      }
+    if (s.kind != BlockedState::Kind::kCollective) continue;
+    for (int o = 0; o < n; ++o) {
+      if (o == r) continue;
+      const BlockedState& other = snapshot[static_cast<std::size_t>(o)];
+      const bool same_entry = other.kind == BlockedState::Kind::kCollective &&
+                              other.what == s.what && other.seq == s.seq;
+      if (!same_entry) waits_on[static_cast<std::size_t>(r)].push_back(o);
     }
   }
 
@@ -524,7 +510,6 @@ std::string JobChecker::report_deadlock(
     latest = std::max(latest, s.sim_time);
     if (phase.empty()) phase = s.phase;
     oss << " rank " << r << ": blocked in " << s.what;
-    if (s.peer >= 0) oss << "(from " << s.peer << ')';
     if (!s.phase.empty()) oss << " in phase " << s.phase;
     oss << " since t=" << s.sim_time << "s;";
   }

@@ -88,10 +88,8 @@ enum class CollectiveOp : std::uint32_t {
   kBarrier,
   kAlltoallv,
   kAlltoallU64,
-  kAllreduceI64,
   kAllreduceU64,
   kAllreduceF64,
-  kAllgatherI64,
   kAllgatherU64,
   kBcast,
   kBcastU64,
@@ -122,19 +120,19 @@ struct CollectiveFingerprint {
   const std::uint64_t* send_counts = nullptr;  ///< alltoallv only
   const std::uint64_t* recv_counts = nullptr;  ///< alltoallv only
   double sim_time = 0.0;
-  std::string phase;       ///< publishing rank's phase path
+  std::string phase{};     ///< publishing rank's phase path
 };
 
 // --- progress watchdog ----------------------------------------------------
 
 /// One rank's published wait state.
 struct BlockedState {
-  enum class Kind { kNone, kCollective, kRecv, kFinished };
+  enum class Kind { kNone, kCollective, kFinished };
   Kind kind = Kind::kNone;
   std::uint64_t id = 0;    ///< fresh per state change; watchdog compares
-  std::string what;        ///< collective name or "recv"
-  int peer = -1;           ///< recv source; -1 for collectives
-  std::uint64_t seq = 0;   ///< collective sequence number, 0 for recv
+  std::string what;        ///< collective name ("<op>.wait" for a Request)
+  /// Collective sequence number; a Request wait carries its op key.
+  std::uint64_t seq = 0;
   double sim_time = 0.0;
   std::string phase;       ///< phase path captured at block time
 };
@@ -224,9 +222,8 @@ class JobChecker {
 
   /// Publish that `global_rank` is entering a potentially-blocking wait;
   /// returns the previous state for BlockGuard-style nesting.
-  BlockedState block_enter(int global_rank, BlockedState::Kind kind,
-                           std::string what, int peer, std::uint64_t seq,
-                           double sim_time);
+  BlockedState block_enter(int global_rank, std::string what,
+                           std::uint64_t seq, double sim_time);
   /// Restore the pre-enter state (with a fresh change id).
   void block_exit(int global_rank, BlockedState previous);
   /// Mark a rank as done communicating (its thread is about to exit).
@@ -274,12 +271,11 @@ class JobChecker {
 /// when `checker` is null.
 class BlockGuard {
  public:
-  BlockGuard(JobChecker* checker, int global_rank, BlockedState::Kind kind,
-             const char* what, int peer, std::uint64_t seq, double sim_time)
+  BlockGuard(JobChecker* checker, int global_rank, const char* what,
+             std::uint64_t seq, double sim_time)
       : checker_(checker), rank_(global_rank) {
     if (checker_ != nullptr) {
-      previous_ =
-          checker_->block_enter(rank_, kind, what, peer, seq, sim_time);
+      previous_ = checker_->block_enter(rank_, what, seq, sim_time);
     }
   }
   ~BlockGuard() {

@@ -12,8 +12,8 @@
 //
 //   * barrier entry/exit and every collective rendezvous (all ranks of
 //     the communicator join to the pairwise max, then tick),
-//   * point-to-point send -> recv edges (the receiver joins the clock
-//     the sender snapshotted at send time),
+//   * non-blocking collective initiate -> wait (every waiter joins the
+//     clocks all initiators published at initiation),
 //   * sched producer -> consumer container handoff (race_handoff_publish
 //     / race_handoff_acquire keyed per (node, rank)),
 //
@@ -156,12 +156,6 @@ class RaceDetector {
   /// between the entry barrier and the verification fence, while every
   /// other participant is blocked in the fence.
   void collective_sync(std::span<const int> global_ranks);
-
-  /// Snapshot the sender's clock for a p2p message and tick it.
-  std::vector<std::uint64_t> send_edge(int global_rank);
-
-  /// Receiver joins the clock attached to the matched message.
-  void recv_edge(int global_rank, std::span<const std::uint64_t> clock);
 
   /// Producer-side handoff edge: publish `global_rank`'s clock under
   /// `key` (joining any previous publication) and tick.

@@ -84,20 +84,6 @@ void RaceDetector::collective_sync(std::span<const int> global_ranks) {
   }
 }
 
-std::vector<std::uint64_t> RaceDetector::send_edge(int global_rank) {
-  const std::scoped_lock lock(mutex_);
-  auto& clock = clocks_[static_cast<std::size_t>(global_rank)];
-  std::vector<std::uint64_t> snapshot = clock.snapshot();
-  clock.tick(global_rank);
-  return snapshot;
-}
-
-void RaceDetector::recv_edge(int global_rank,
-                             std::span<const std::uint64_t> clock) {
-  const std::scoped_lock lock(mutex_);
-  clocks_[static_cast<std::size_t>(global_rank)].join(clock);
-}
-
 void RaceDetector::handoff_publish(int global_rank, std::uint64_t key) {
   const std::scoped_lock lock(mutex_);
   auto& clock = clocks_[static_cast<std::size_t>(global_rank)];
@@ -195,8 +181,7 @@ void RaceDetector::report_race(RegionState& region,
       << region.name << "' (" << region.bytes << " bytes): "
       << describe_site(current) << " with no happens-before edge after "
       << describe_site(previous)
-      << " (no barrier, collective, p2p message, or handoff orders the "
-         "two accesses)";
+      << " (no barrier, collective, or handoff orders the two accesses)";
   d.message = oss.str();
   d.ranks = {previous.rank, current.rank};
   std::sort(d.ranks.begin(), d.ranks.end());

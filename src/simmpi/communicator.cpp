@@ -16,39 +16,34 @@ namespace simmpi {
 using detail::SharedState;
 using detail::Slot;
 
-bool Communicator::checking() const noexcept {
-  return shared_->checker != nullptr;
+namespace {
+
+std::string current_phase() {
+  const stats::Registry* reg = stats::current();
+  return reg != nullptr ? reg->phase_path() : std::string();
 }
+
+}  // namespace
 
 int Communicator::check_global_rank() const noexcept {
   return shared_->check_ranks[static_cast<std::size_t>(rank_)];
 }
 
-void Communicator::check_announce(check::CollectiveOp op,
-                                  std::uint32_t width, std::uint32_t extra,
-                                  std::int32_t root, std::uint64_t bytes,
-                                  const std::uint64_t* send_counts,
-                                  const std::uint64_t* recv_counts) {
+void Communicator::check_announce(
+    std::vector<check::CollectiveFingerprint>& fps,
+    const check::CollectiveFingerprint& shape, double sim_time) {
   auto& s = *shared_;
   if (s.checker == nullptr) return;
-  ++check_seq_;
-  check::CollectiveFingerprint& fp =
-      s.check_fps[static_cast<std::size_t>(rank_)];
-  fp.op = op;
-  fp.seq = check_seq_;
-  fp.width = width;
-  fp.extra = extra;
-  fp.root = root;
-  fp.bytes = bytes;
-  fp.send_counts = send_counts;
-  fp.recv_counts = recv_counts;
-  fp.sim_time = clock_->now();
-  const stats::Registry* reg = stats::current();
-  fp.phase = reg != nullptr ? reg->phase_path() : std::string();
+  check::CollectiveFingerprint& fp = fps[static_cast<std::size_t>(rank_)];
+  fp = shape;
+  fp.seq = ++check_seq_;
+  fp.sim_time = sim_time;
+  fp.phase = current_phase();
   if (check::RaceDetector* race = s.checker->race()) {
     // Feed the cross-run determinism digest: each rank chains its own
-    // fingerprint history (announce runs before the entry barrier, so
-    // only the owner rank touches its chain).
+    // fingerprint history (announce runs before the entry barrier, or
+    // under the state mutex for a non-blocking op, so only the owner
+    // rank touches its chain).
     race->record_fingerprint(check_global_rank(), fp, s.nranks);
   }
 }
@@ -74,9 +69,8 @@ void Communicator::check_verify() {
 
 void Communicator::checked_wait(const char* what) {
   auto& s = *shared_;
-  const check::BlockGuard guard(s.checker, check_global_rank(),
-                                check::BlockedState::Kind::kCollective,
-                                what, -1, check_seq_, clock_->now());
+  const check::BlockGuard guard(s.checker, check_global_rank(), what,
+                                check_seq_, clock_->now());
   s.barrier_wait();
 }
 
@@ -106,13 +100,15 @@ Communicator::~Communicator() = default;
 std::unique_ptr<Communicator> Communicator::split(int color, int key) {
   auto& s = *shared_;
   // Learn every rank's (color, key) to compute group membership and the
-  // new rank order deterministically on all members.
-  const auto colors = allgather_i64(color);
-  const auto keys = allgather_i64(key);
-  std::vector<std::pair<std::int64_t, int>> members;  // (key, old rank)
+  // new rank order deterministically on all members. The ints travel
+  // as u64 and convert back exactly.
+  const auto colors = allgather_u64(static_cast<std::uint64_t>(color));
+  const auto keys = allgather_u64(static_cast<std::uint64_t>(key));
+  std::vector<std::pair<int, int>> members;  // (key, old rank)
   for (int r = 0; r < s.nranks; ++r) {
-    if (colors[static_cast<std::size_t>(r)] == color) {
-      members.emplace_back(keys[static_cast<std::size_t>(r)], r);
+    if (static_cast<int>(colors[static_cast<std::size_t>(r)]) == color) {
+      members.emplace_back(
+          static_cast<int>(keys[static_cast<std::size_t>(r)]), r);
     }
   }
   std::sort(members.begin(), members.end());
@@ -125,8 +121,8 @@ std::unique_ptr<Communicator> Communicator::split(int color, int key) {
   }
   const bool leader = members.front().second == rank_;
 
-  check_announce(check::CollectiveOp::kSplit, 0, 0, -1, 0, nullptr,
-                 nullptr);
+  check_announce(s.check_fps, {.op = check::CollectiveOp::kSplit},
+                 clock_->now());
   checked_wait("split");
   check_verify();
   if (leader) {
@@ -182,21 +178,40 @@ void check_vector_sizes(const SharedState& s, std::size_t counts,
   }
 }
 
+template <typename T>
+T reduce_op(T a, T b, Op op) {
+  switch (op) {
+    case Op::kSum: return static_cast<T>(a + b);
+    case Op::kMax: return std::max(a, b);
+    case Op::kMin: return std::min(a, b);
+    case Op::kLor: return static_cast<T>((a != T{}) || (b != T{}));
+    case Op::kLand: return static_cast<T>((a != T{}) && (b != T{}));
+  }
+  return a;
+}
+
 }  // namespace
 
-void Communicator::barrier() {
+template <typename Read>
+void Communicator::rendezvous(const check::CollectiveFingerprint& shape,
+                              Read&& read) {
   auto& s = *shared_;
+  const char* what = check::to_string(shape.op);
   const double entry = clock_->now();
   s.slots[rank_].clock = entry;
-  check_announce(check::CollectiveOp::kBarrier, 0, 0, -1, 0, nullptr,
-                 nullptr);
-  checked_wait("barrier");
+  check_announce(s.check_fps, shape, entry);
+  checked_wait(what);
   check_verify();
+  const double transfer = read();
   const double t = max_clock(s);
-  checked_wait("barrier");
-  clock_->set(t + s.collective_latency());
+  checked_wait(what);
+  clock_->set(t + s.collective_latency() + transfer);
   note_wait(entry, t);
   ++stats_.collectives;
+}
+
+void Communicator::barrier() {
+  rendezvous({.op = check::CollectiveOp::kBarrier}, [] { return 0.0; });
 }
 
 double Communicator::clock_sync() {
@@ -240,43 +255,36 @@ void Communicator::alltoallv(std::span<const std::byte> send,
   mine.send = send.data();
   mine.counts = send_counts.data();
   mine.displs = send_displs.data();
-  const double entry = clock_->now();
-  mine.clock = entry;
-  check_announce(check::CollectiveOp::kAlltoallv, 1, 0, -1, 0,
-                 send_counts.data(), recv_counts.data());
-  checked_wait("alltoallv");
-  check_verify();
-
-  // Pull model: copy my block out of every sender's buffer.
+  const std::uint64_t sent = std::accumulate(
+      send_counts.begin(), send_counts.end(), std::uint64_t{0});
   std::uint64_t received = 0;
-  for (int src = 0; src < s.nranks; ++src) {
-    const Slot& theirs = s.slots[src];
-    const std::uint64_t len = theirs.counts[rank_];
-    if (len != recv_counts[src]) {
-      throw mutil::CommError(
-          "simmpi: alltoallv recv count mismatch (sender advertised " +
-          std::to_string(len) + ", receiver expected " +
-          std::to_string(recv_counts[src]) + ")");
-    }
-    if (len != 0) {
-      std::memcpy(recv.data() + recv_displs[src],
-                  theirs.send + theirs.displs[rank_], len);
-    }
-    received += len;
-  }
-  const std::uint64_t sent =
-      std::accumulate(send_counts.begin(), send_counts.end(),
-                      std::uint64_t{0});
-  const double t = max_clock(s);
-  checked_wait("alltoallv");
-
-  clock_->set(t + s.collective_latency() +
-             static_cast<double>(std::max(sent, received)) /
-                 s.net_bandwidth);
-  note_wait(entry, t);
+  rendezvous({.op = check::CollectiveOp::kAlltoallv,
+              .width = 1,
+              .send_counts = send_counts.data(),
+              .recv_counts = recv_counts.data()},
+             [&] {
+               // Pull model: copy my block out of every sender's buffer.
+               for (int src = 0; src < s.nranks; ++src) {
+                 const Slot& theirs = s.slots[src];
+                 const std::uint64_t len = theirs.counts[rank_];
+                 if (len != recv_counts[src]) {
+                   throw mutil::CommError(
+                       "simmpi: alltoallv recv count mismatch (sender "
+                       "advertised " +
+                       std::to_string(len) + ", receiver expected " +
+                       std::to_string(recv_counts[src]) + ")");
+                 }
+                 if (len != 0) {
+                   std::memcpy(recv.data() + recv_displs[src],
+                               theirs.send + theirs.displs[rank_], len);
+                 }
+                 received += len;
+               }
+               return static_cast<double>(std::max(sent, received)) /
+                      s.net_bandwidth;
+             });
   stats_.bytes_sent += sent;
   stats_.bytes_received += received;
-  ++stats_.collectives;
 }
 
 std::vector<std::uint64_t> Communicator::alltoall_u64(
@@ -285,98 +293,48 @@ std::vector<std::uint64_t> Communicator::alltoall_u64(
   if (values.size() != static_cast<std::size_t>(s.nranks)) {
     throw mutil::CommError("simmpi: alltoall_u64 needs one value per rank");
   }
-  Slot& mine = s.slots[rank_];
-  mine.counts = values.data();
-  const double entry = clock_->now();
-  mine.clock = entry;
-  check_announce(check::CollectiveOp::kAlltoallU64, 8, 0, -1, 0, nullptr,
-                 nullptr);
-  checked_wait("alltoall_u64");
-  check_verify();
-
+  s.slots[rank_].counts = values.data();
   std::vector<std::uint64_t> result(static_cast<std::size_t>(s.nranks));
-  for (int src = 0; src < s.nranks; ++src) {
-    result[static_cast<std::size_t>(src)] = s.slots[src].counts[rank_];
-  }
-  const double t = max_clock(s);
-  checked_wait("alltoall_u64");
-
-  clock_->set(t + s.collective_latency());
-  note_wait(entry, t);
-  ++stats_.collectives;
+  rendezvous({.op = check::CollectiveOp::kAlltoallU64, .width = 8}, [&] {
+    for (int src = 0; src < s.nranks; ++src) {
+      result[static_cast<std::size_t>(src)] = s.slots[src].counts[rank_];
+    }
+    return 0.0;
+  });
   return result;
-}
-
-namespace {
-
-template <typename T>
-T reduce_op(T a, T b, Op op) {
-  switch (op) {
-    case Op::kSum: return static_cast<T>(a + b);
-    case Op::kMax: return std::max(a, b);
-    case Op::kMin: return std::min(a, b);
-    case Op::kLor: return static_cast<T>((a != T{}) || (b != T{}));
-    case Op::kLand: return static_cast<T>((a != T{}) && (b != T{}));
-  }
-  return a;
-}
-
-}  // namespace
-
-std::int64_t Communicator::allreduce_i64(std::int64_t value, Op op) {
-  auto& s = *shared_;
-  s.slots[rank_].i64 = value;
-  const double entry = clock_->now();
-  s.slots[rank_].clock = entry;
-  check_announce(check::CollectiveOp::kAllreduceI64, 8,
-                 static_cast<std::uint32_t>(op), -1, 0, nullptr, nullptr);
-  checked_wait("allreduce_i64");
-  check_verify();
-  std::int64_t acc = s.slots[0].i64;
-  for (int i = 1; i < s.nranks; ++i) acc = reduce_op(acc, s.slots[i].i64, op);
-  const double t = max_clock(s);
-  checked_wait("allreduce_i64");
-  clock_->set(t + s.collective_latency());
-  note_wait(entry, t);
-  ++stats_.collectives;
-  return acc;
 }
 
 std::uint64_t Communicator::allreduce_u64(std::uint64_t value, Op op) {
   auto& s = *shared_;
   s.slots[rank_].u64 = value;
-  const double entry = clock_->now();
-  s.slots[rank_].clock = entry;
-  check_announce(check::CollectiveOp::kAllreduceU64, 8,
-                 static_cast<std::uint32_t>(op), -1, 0, nullptr, nullptr);
-  checked_wait("allreduce_u64");
-  check_verify();
-  std::uint64_t acc = s.slots[0].u64;
-  for (int i = 1; i < s.nranks; ++i) acc = reduce_op(acc, s.slots[i].u64, op);
-  const double t = max_clock(s);
-  checked_wait("allreduce_u64");
-  clock_->set(t + s.collective_latency());
-  note_wait(entry, t);
-  ++stats_.collectives;
+  std::uint64_t acc = 0;
+  rendezvous({.op = check::CollectiveOp::kAllreduceU64,
+              .width = 8,
+              .extra = static_cast<std::uint32_t>(op)},
+             [&] {
+               acc = s.slots[0].u64;
+               for (int i = 1; i < s.nranks; ++i) {
+                 acc = reduce_op(acc, s.slots[i].u64, op);
+               }
+               return 0.0;
+             });
   return acc;
 }
 
 double Communicator::allreduce_f64(double value, Op op) {
   auto& s = *shared_;
   s.slots[rank_].f64 = value;
-  const double entry = clock_->now();
-  s.slots[rank_].clock = entry;
-  check_announce(check::CollectiveOp::kAllreduceF64, 8,
-                 static_cast<std::uint32_t>(op), -1, 0, nullptr, nullptr);
-  checked_wait("allreduce_f64");
-  check_verify();
-  double acc = s.slots[0].f64;
-  for (int i = 1; i < s.nranks; ++i) acc = reduce_op(acc, s.slots[i].f64, op);
-  const double t = max_clock(s);
-  checked_wait("allreduce_f64");
-  clock_->set(t + s.collective_latency());
-  note_wait(entry, t);
-  ++stats_.collectives;
+  double acc = 0.0;
+  rendezvous({.op = check::CollectiveOp::kAllreduceF64,
+              .width = 8,
+              .extra = static_cast<std::uint32_t>(op)},
+             [&] {
+               acc = s.slots[0].f64;
+               for (int i = 1; i < s.nranks; ++i) {
+                 acc = reduce_op(acc, s.slots[i].f64, op);
+               }
+               return 0.0;
+             });
   return acc;
 }
 
@@ -388,45 +346,16 @@ bool Communicator::allreduce_land(bool value) {
   return allreduce_u64(value ? 1 : 0, Op::kLand) != 0;
 }
 
-std::vector<std::int64_t> Communicator::allgather_i64(std::int64_t value) {
-  auto& s = *shared_;
-  s.slots[rank_].i64 = value;
-  const double entry = clock_->now();
-  s.slots[rank_].clock = entry;
-  check_announce(check::CollectiveOp::kAllgatherI64, 8, 0, -1, 0, nullptr,
-                 nullptr);
-  checked_wait("allgather_i64");
-  check_verify();
-  std::vector<std::int64_t> result(static_cast<std::size_t>(s.nranks));
-  for (int i = 0; i < s.nranks; ++i) {
-    result[static_cast<std::size_t>(i)] = s.slots[i].i64;
-  }
-  const double t = max_clock(s);
-  checked_wait("allgather_i64");
-  clock_->set(t + s.collective_latency());
-  note_wait(entry, t);
-  ++stats_.collectives;
-  return result;
-}
-
 std::vector<std::uint64_t> Communicator::allgather_u64(std::uint64_t value) {
   auto& s = *shared_;
   s.slots[rank_].u64 = value;
-  const double entry = clock_->now();
-  s.slots[rank_].clock = entry;
-  check_announce(check::CollectiveOp::kAllgatherU64, 8, 0, -1, 0, nullptr,
-                 nullptr);
-  checked_wait("allgather_u64");
-  check_verify();
   std::vector<std::uint64_t> result(static_cast<std::size_t>(s.nranks));
-  for (int i = 0; i < s.nranks; ++i) {
-    result[static_cast<std::size_t>(i)] = s.slots[i].u64;
-  }
-  const double t = max_clock(s);
-  checked_wait("allgather_u64");
-  clock_->set(t + s.collective_latency());
-  note_wait(entry, t);
-  ++stats_.collectives;
+  rendezvous({.op = check::CollectiveOp::kAllgatherU64, .width = 8}, [&] {
+    for (int i = 0; i < s.nranks; ++i) {
+      result[static_cast<std::size_t>(i)] = s.slots[i].u64;
+    }
+    return 0.0;
+  });
   return result;
 }
 
@@ -438,25 +367,21 @@ void Communicator::bcast(std::span<std::byte> data, int root) {
   Slot& mine = s.slots[rank_];
   mine.send = data.data();
   mine.bytes = data.size();
-  const double entry = clock_->now();
-  mine.clock = entry;
-  check_announce(check::CollectiveOp::kBcast, 1, 0, root, data.size(),
-                 nullptr, nullptr);
-  checked_wait("bcast");
-  check_verify();
-  const Slot& src = s.slots[root];
-  if (src.bytes != data.size()) {
-    throw mutil::CommError("simmpi: bcast: buffer size mismatch");
-  }
-  if (rank_ != root && !data.empty()) {
-    std::memcpy(data.data(), src.send, data.size());
-  }
-  const double t = max_clock(s);
-  checked_wait("bcast");
-  clock_->set(t + s.collective_latency() +
-             static_cast<double>(data.size()) / s.net_bandwidth);
-  note_wait(entry, t);
-  ++stats_.collectives;
+  rendezvous({.op = check::CollectiveOp::kBcast,
+              .width = 1,
+              .root = root,
+              .bytes = data.size()},
+             [&] {
+               const Slot& src = s.slots[root];
+               if (src.bytes != data.size()) {
+                 throw mutil::CommError(
+                     "simmpi: bcast: buffer size mismatch");
+               }
+               if (rank_ != root && !data.empty()) {
+                 std::memcpy(data.data(), src.send, data.size());
+               }
+               return static_cast<double>(data.size()) / s.net_bandwidth;
+             });
 }
 
 std::uint64_t Communicator::bcast_u64(std::uint64_t value, int root) {
@@ -465,18 +390,13 @@ std::uint64_t Communicator::bcast_u64(std::uint64_t value, int root) {
     throw mutil::CommError("simmpi: bcast_u64: bad root rank");
   }
   s.slots[rank_].u64 = value;
-  const double entry = clock_->now();
-  s.slots[rank_].clock = entry;
-  check_announce(check::CollectiveOp::kBcastU64, 8, 0, root, 0, nullptr,
-                 nullptr);
-  checked_wait("bcast_u64");
-  check_verify();
-  const std::uint64_t result = s.slots[root].u64;
-  const double t = max_clock(s);
-  checked_wait("bcast_u64");
-  clock_->set(t + s.collective_latency());
-  note_wait(entry, t);
-  ++stats_.collectives;
+  std::uint64_t result = 0;
+  rendezvous(
+      {.op = check::CollectiveOp::kBcastU64, .width = 8, .root = root},
+      [&] {
+        result = s.slots[root].u64;
+        return 0.0;
+      });
   return result;
 }
 
@@ -489,44 +409,36 @@ GatherResult Communicator::gatherv(int root,
   Slot& mine = s.slots[rank_];
   mine.send = payload.data();
   mine.bytes = payload.size();
-  const double entry = clock_->now();
-  mine.clock = entry;
-  check_announce(check::CollectiveOp::kGatherv, 1, 0, root, 0, nullptr,
-                 nullptr);
-  checked_wait("gatherv");
-  check_verify();
-
   GatherResult result;
   std::uint64_t total = 0;
-  if (rank_ == root) {
-    result.counts.resize(static_cast<std::size_t>(s.nranks));
-    for (int i = 0; i < s.nranks; ++i) {
-      result.counts[static_cast<std::size_t>(i)] = s.slots[i].bytes;
-      total += s.slots[i].bytes;
-    }
-    result.data.resize(total);
-    std::uint64_t offset = 0;
-    for (int i = 0; i < s.nranks; ++i) {
-      const Slot& theirs = s.slots[i];
-      if (theirs.bytes != 0) {
-        std::memcpy(result.data.data() + offset, theirs.send, theirs.bytes);
-      }
-      offset += theirs.bytes;
-    }
-  }
-  const double t = max_clock(s);
-  checked_wait("gatherv");
-
-  const std::uint64_t moved = rank_ == root ? total : payload.size();
-  clock_->set(t + s.collective_latency() +
-             static_cast<double>(moved) / s.net_bandwidth);
-  note_wait(entry, t);
+  rendezvous(
+      {.op = check::CollectiveOp::kGatherv, .width = 1, .root = root},
+      [&] {
+        if (rank_ != root) {
+          return static_cast<double>(payload.size()) / s.net_bandwidth;
+        }
+        result.counts.resize(static_cast<std::size_t>(s.nranks));
+        for (int i = 0; i < s.nranks; ++i) {
+          result.counts[static_cast<std::size_t>(i)] = s.slots[i].bytes;
+          total += s.slots[i].bytes;
+        }
+        result.data.resize(total);
+        std::uint64_t offset = 0;
+        for (int i = 0; i < s.nranks; ++i) {
+          const Slot& theirs = s.slots[i];
+          if (theirs.bytes != 0) {
+            std::memcpy(result.data.data() + offset, theirs.send,
+                        theirs.bytes);
+          }
+          offset += theirs.bytes;
+        }
+        return static_cast<double>(total) / s.net_bandwidth;
+      });
   if (rank_ == root) {
     stats_.bytes_received += total;
   } else {
     stats_.bytes_sent += payload.size();
   }
-  ++stats_.collectives;
   return result;
 }
 
@@ -554,11 +466,6 @@ namespace {
 
 using detail::NbOp;
 
-std::string current_phase() {
-  const stats::Registry* reg = stats::current();
-  return reg != nullptr ? reg->phase_path() : std::string();
-}
-
 /// Handoff key for the initiate -> wait happens-before edge, salted
 /// with the shared-state identity so keys from different communicators
 /// (and from sched's (node, rank) keyspace) cannot collide.
@@ -578,7 +485,7 @@ void nb_complete_locked(SharedState& s, NbOp& op) {
     s.checker->verify_collective(op.fps, s.check_ranks);
   }
   const auto n = static_cast<std::size_t>(s.nranks);
-  if (op.kind == NbOp::Kind::kAlltoallv) {
+  if (op.kind == check::CollectiveOp::kIalltoallv) {
     for (std::size_t dst = 0; dst < n; ++dst) {
       NbOp::Part& to = op.parts[dst];
       std::uint64_t offset = 0;
@@ -595,7 +502,6 @@ void nb_complete_locked(SharedState& s, NbOp& op) {
           std::memcpy(to.recv + offset,
                       from.send + from.displs[dst], len);
         }
-        op.recv_counts[dst][src] = len;
         offset += len;
       }
       to.received = offset;
@@ -617,6 +523,64 @@ void nb_complete_locked(SharedState& s, NbOp& op) {
 
 }  // namespace
 
+template <typename Publish>
+Request Communicator::nb_join(check::CollectiveFingerprint shape,
+                              const void* send_base, const void* recv_base,
+                              Publish&& publish) {
+  auto& s = *shared_;
+  const std::uint64_t key = ++nb_count_;
+  const char* what = check::to_string(shape.op);
+  const bool alltoallv = shape.op == check::CollectiveOp::kIalltoallv;
+  check::RaceDetector* race =
+      s.checker != nullptr ? s.checker->race() : nullptr;
+  if (race != nullptr) {
+    // Publish this rank's clock for the waiters to join at completion
+    // (initiate -> wait is the happens-before edge; initiators are NOT
+    // ordered against each other), then freeze the buffers so any
+    // touch before wait() — including by this rank itself — is caught.
+    const int grank = check_global_rank();
+    race->handoff_publish(grank, nb_race_key(s, key));
+    if (send_base != nullptr) {
+      race->nb_initiate(send_base, grank, /*op_writes=*/false, what,
+                        clock_->now(), current_phase());
+    }
+    if (recv_base != nullptr) {
+      race->nb_initiate(recv_base, grank, /*op_writes=*/true, what,
+                        clock_->now(), current_phase());
+    }
+  }
+  {
+    const std::scoped_lock lock(s.mutex);
+    if (s.aborted) s.throw_aborted_locked();
+    NbOp& op = s.nb_ops[key];
+    if (op.parts.empty()) {
+      op.kind = shape.op;
+      op.red_op = shape.extra;
+      op.parts.resize(static_cast<std::size_t>(s.nranks));
+      if (s.checker != nullptr) {
+        op.fps.resize(static_cast<std::size_t>(s.nranks));
+      }
+    } else if (op.kind != shape.op) {
+      throw mutil::CommError(
+          std::string(
+              "simmpi: non-blocking collective mismatch: this rank "
+              "initiated ") +
+          what + " #" + std::to_string(key) + " but a peer initiated " +
+          check::to_string(op.kind));
+    }
+    NbOp::Part& part = op.parts[static_cast<std::size_t>(rank_)];
+    publish(part);
+    part.clock = clock_->now();
+    // The fingerprint borrows the op's copy of the send counts, which
+    // outlives the caller's (iallreduce_u64 has none).
+    if (!part.counts.empty()) shape.send_counts = part.counts.data();
+    check_announce(op.fps, shape, part.clock);
+    if (++op.arrived == s.nranks) nb_complete_locked(s, op);
+  }
+  ++stats_.collectives;
+  return Request(this, key, alltoallv, send_base, recv_base);
+}
+
 Request Communicator::ialltoallv(std::span<const std::byte> send,
                                  std::span<const std::uint64_t> send_counts,
                                  std::span<const std::uint64_t> send_displs,
@@ -636,128 +600,25 @@ Request Communicator::ialltoallv(std::span<const std::byte> send,
       throw mutil::CommError("simmpi: ialltoallv send region out of bounds");
     }
   }
-
-  const std::uint64_t key = ++nb_count_;
-  check::RaceDetector* race =
-      s.checker != nullptr ? s.checker->race() : nullptr;
-  if (race != nullptr) {
-    // Publish this rank's clock for the waiters to join at completion
-    // (initiate -> wait is the new happens-before edge; initiators are
-    // NOT ordered against each other), then freeze both buffers so any
-    // touch before wait() — including by this rank itself — is caught.
-    const int grank = check_global_rank();
-    race->handoff_publish(grank, nb_race_key(s, key));
-    race->nb_initiate(send.data(), grank, /*op_writes=*/false,
-                      "ialltoallv", clock_->now(), current_phase());
-    race->nb_initiate(recv.data(), grank, /*op_writes=*/true, "ialltoallv",
-                      clock_->now(), current_phase());
-  }
-
   const std::uint64_t sent = std::accumulate(
       send_counts.begin(), send_counts.end(), std::uint64_t{0});
-  {
-    std::unique_lock lock(s.mutex);
-    if (s.aborted) s.throw_aborted_locked();
-    NbOp& op = s.nb_ops[key];
-    if (op.parts.empty()) {
-      op.kind = NbOp::Kind::kAlltoallv;
-      op.parts.resize(static_cast<std::size_t>(s.nranks));
-      op.recv_counts.assign(
-          static_cast<std::size_t>(s.nranks),
-          std::vector<std::uint64_t>(static_cast<std::size_t>(s.nranks)));
-      if (s.checker != nullptr) {
-        op.fps.resize(static_cast<std::size_t>(s.nranks));
-      }
-    } else if (op.kind != NbOp::Kind::kAlltoallv) {
-      throw mutil::CommError(
-          "simmpi: non-blocking collective mismatch: this rank initiated "
-          "ialltoallv #" +
-          std::to_string(key) + " but a peer initiated iallreduce_u64");
-    }
-    NbOp::Part& part = op.parts[static_cast<std::size_t>(rank_)];
-    part.present = true;
-    part.send = send.data();
-    part.recv = recv.data();
-    part.recv_cap = recv.size();
-    part.counts.assign(send_counts.begin(), send_counts.end());
-    part.displs.assign(send_displs.begin(), send_displs.end());
-    part.clock = clock_->now();
-    part.sent = sent;
-    if (s.checker != nullptr) {
-      ++check_seq_;
-      check::CollectiveFingerprint& fp =
-          op.fps[static_cast<std::size_t>(rank_)];
-      fp.op = check::CollectiveOp::kIalltoallv;
-      fp.seq = check_seq_;
-      fp.width = 1;
-      fp.send_counts = part.counts.data();
-      fp.sim_time = part.clock;
-      fp.phase = current_phase();
-      if (race != nullptr) {
-        race->record_fingerprint(check_global_rank(), fp, s.nranks);
-      }
-    }
-    if (++op.arrived == s.nranks) nb_complete_locked(s, op);
-  }
-  ++stats_.collectives;
-  return Request(this, key, /*alltoallv=*/true, send.data(), recv.data());
+  return nb_join({.op = check::CollectiveOp::kIalltoallv, .width = 1},
+                 send.data(), recv.data(), [&](NbOp::Part& part) {
+                   part.send = send.data();
+                   part.recv = recv.data();
+                   part.recv_cap = recv.size();
+                   part.counts.assign(send_counts.begin(), send_counts.end());
+                   part.displs.assign(send_displs.begin(), send_displs.end());
+                   part.sent = sent;
+                 });
 }
 
-Request Communicator::iallreduce_u64(std::uint64_t value, Op op_kind) {
-  auto& s = *shared_;
-  const std::uint64_t key = ++nb_count_;
-  check::RaceDetector* race =
-      s.checker != nullptr ? s.checker->race() : nullptr;
-  if (race != nullptr) {
-    race->handoff_publish(check_global_rank(), nb_race_key(s, key));
-  }
-  {
-    std::unique_lock lock(s.mutex);
-    if (s.aborted) s.throw_aborted_locked();
-    NbOp& op = s.nb_ops[key];
-    if (op.parts.empty()) {
-      op.kind = NbOp::Kind::kAllreduceU64;
-      op.red_op = static_cast<std::uint32_t>(op_kind);
-      op.parts.resize(static_cast<std::size_t>(s.nranks));
-      if (s.checker != nullptr) {
-        op.fps.resize(static_cast<std::size_t>(s.nranks));
-      }
-    } else if (op.kind != NbOp::Kind::kAllreduceU64) {
-      throw mutil::CommError(
-          "simmpi: non-blocking collective mismatch: this rank initiated "
-          "iallreduce_u64 #" +
-          std::to_string(key) + " but a peer initiated ialltoallv");
-    }
-    NbOp::Part& part = op.parts[static_cast<std::size_t>(rank_)];
-    part.present = true;
-    part.u64 = value;
-    part.clock = clock_->now();
-    if (s.checker != nullptr) {
-      ++check_seq_;
-      check::CollectiveFingerprint& fp =
-          op.fps[static_cast<std::size_t>(rank_)];
-      fp.op = check::CollectiveOp::kIallreduceU64;
-      fp.seq = check_seq_;
-      fp.width = 8;
-      fp.extra = static_cast<std::uint32_t>(op_kind);
-      fp.sim_time = part.clock;
-      fp.phase = current_phase();
-      if (race != nullptr) {
-        race->record_fingerprint(check_global_rank(), fp, s.nranks);
-      }
-    }
-    if (++op.arrived == s.nranks) nb_complete_locked(s, op);
-  }
-  ++stats_.collectives;
-  return Request(this, key, /*alltoallv=*/false, nullptr, nullptr);
-}
-
-bool Communicator::nb_test(std::uint64_t key) {
-  auto& s = *shared_;
-  const std::scoped_lock lock(s.mutex);
-  if (s.aborted) s.throw_aborted_locked();
-  const auto it = s.nb_ops.find(key);
-  return it == s.nb_ops.end() || it->second.complete;
+Request Communicator::iallreduce_u64(std::uint64_t value, Op op) {
+  return nb_join({.op = check::CollectiveOp::kIallreduceU64,
+                  .width = 8,
+                  .extra = static_cast<std::uint32_t>(op)},
+                 nullptr, nullptr,
+                 [&](NbOp::Part& part) { part.u64 = value; });
 }
 
 void Communicator::nb_wait(Request& request) {
@@ -770,8 +631,7 @@ void Communicator::nb_wait(Request& request) {
   {
     const check::BlockGuard guard(
         s.checker, check_global_rank(),
-        check::BlockedState::Kind::kCollective,
-        request.alltoallv_ ? "ialltoallv.wait" : "iallreduce_u64.wait", -1,
+        request.alltoallv_ ? "ialltoallv.wait" : "iallreduce_u64.wait",
         request.key_, clock_->now());
     std::unique_lock lock(s.mutex);
     const auto it = s.nb_ops.find(request.key_);
@@ -784,12 +644,10 @@ void Communicator::nb_wait(Request& request) {
     s.cv.wait(lock, [&] { return op.complete || s.aborted; });
     if (!op.complete) s.throw_aborted_locked();
     const NbOp::Part& part = op.parts[static_cast<std::size_t>(rank_)];
-    alltoallv = op.kind == NbOp::Kind::kAlltoallv;
+    alltoallv = op.kind == check::CollectiveOp::kIalltoallv;
     t_init = part.clock;
     t_all = op.t_all;
     if (alltoallv) {
-      request.recv_counts_ = op.recv_counts[static_cast<std::size_t>(rank_)];
-      request.sent_ = part.sent;
       request.received_ = part.received;
       sent = part.sent;
       received = part.received;
@@ -860,84 +718,10 @@ void Request::release() noexcept {
   if (comm_ != nullptr && !waited_) comm_->nb_withdraw(key_);
 }
 
-bool Request::test() {
-  if (comm_ == nullptr || waited_) return true;
-  return comm_->nb_test(key_);
-}
-
 void Request::wait() {
   if (comm_ == nullptr || waited_) return;
   comm_->nb_wait(*this);
   waited_ = true;
-}
-
-void Communicator::send(int dest, int tag,
-                        std::span<const std::byte> payload) {
-  auto& s = *shared_;
-  if (dest < 0 || dest >= s.nranks) {
-    throw mutil::CommError("simmpi: send: bad destination rank");
-  }
-  const double transfer =
-      s.net_latency + static_cast<double>(payload.size()) / s.net_bandwidth;
-  detail::Mailbox::Message msg;
-  msg.source = rank_;
-  msg.tag = tag;
-  msg.arrival = clock_->now() + transfer;
-  msg.payload.assign(payload.begin(), payload.end());
-  if (s.checker != nullptr) {
-    if (check::RaceDetector* race = s.checker->race()) {
-      // The send -> recv happens-before edge: snapshot the sender's
-      // vector clock into the message for the receiver to join.
-      msg.race_clock = race->send_edge(check_global_rank());
-    }
-  }
-
-  auto& box = *s.mailboxes[static_cast<std::size_t>(dest)];
-  {
-    const std::scoped_lock lock(box.mutex);
-    box.messages.push_back(std::move(msg));
-  }
-  box.cv.notify_all();
-  clock_->advance(transfer);
-  stats_.bytes_sent += payload.size();
-}
-
-std::vector<std::byte> Communicator::recv(int source, int tag) {
-  auto& s = *shared_;
-  if (source < 0 || source >= s.nranks) {
-    throw mutil::CommError("simmpi: recv: bad source rank");
-  }
-  const check::BlockGuard guard(
-      s.checker, check_global_rank(), check::BlockedState::Kind::kRecv,
-      "recv", s.check_ranks[static_cast<std::size_t>(source)], 0,
-      clock_->now());
-  auto& box = *s.mailboxes[static_cast<std::size_t>(rank_)];
-  std::unique_lock lock(box.mutex);
-  for (;;) {
-    s.throw_if_aborted();
-    const auto it =
-        std::find_if(box.messages.begin(), box.messages.end(),
-                     [&](const detail::Mailbox::Message& m) {
-                       return m.source == source && m.tag == tag;
-                     });
-    if (it != box.messages.end()) {
-      detail::Mailbox::Message msg = std::move(*it);
-      box.messages.erase(it);
-      lock.unlock();
-      if (s.checker != nullptr && !msg.race_clock.empty()) {
-        if (check::RaceDetector* race = s.checker->race()) {
-          race->recv_edge(check_global_rank(), msg.race_clock);
-        }
-      }
-      const double before = clock_->now();
-      clock_->sync_to(msg.arrival);
-      // A message that had not yet arrived made the receiver wait.
-      if (msg.arrival > before) note_wait(before, msg.arrival);
-      stats_.bytes_received += msg.payload.size();
-      return std::move(msg.payload);
-    }
-    box.cv.wait(lock);
-  }
 }
 
 }  // namespace simmpi

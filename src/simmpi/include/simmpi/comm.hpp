@@ -1,17 +1,17 @@
 // simmpi: an MPI-subset message-passing substrate with ranks as threads.
 //
 // The paper's frameworks are written against MPI semantics — collective
-// completion, byte-counted Alltoallv, reductions, barriers, matched
-// point-to-point messages — not against any particular interconnect.
-// This library provides exactly those semantics inside one process:
-// every rank is a std::thread, collectives rendezvous through a shared
-// epoch-fenced slot table, and each operation charges an alpha-beta cost
-// model to the rank's simulated clock (synchronizing clocks to the
-// slowest participant, which is how data skew becomes time skew).
+// completion, byte-counted Alltoallv, reductions, barriers — not against
+// any particular interconnect. This library provides exactly those
+// semantics inside one process: every rank is a std::thread, blocking
+// collectives rendezvous through a shared epoch-fenced slot table, and
+// each one charges an alpha-beta cost model to the rank's simulated
+// clock (synchronizing clocks to the slowest participant, which is how
+// data skew becomes time skew).
 //
 // Error handling: if any rank throws, the job aborts; ranks blocked in
-// collectives or recv() wake up with mutil::CommError and unwind. The
-// first exception is rethrown from simmpi::run().
+// collectives or Request::wait() wake up with mutil::CommError and
+// unwind. The first exception is rethrown from simmpi::run().
 #pragma once
 
 #include <cstdint>
@@ -26,6 +26,7 @@
 
 namespace check {
 enum class CollectiveOp : std::uint32_t;
+struct CollectiveFingerprint;
 }
 
 namespace simmpi {
@@ -46,8 +47,8 @@ struct GatherResult {
 
 /// Per-rank communication statistics.
 struct CommStats {
-  std::uint64_t bytes_sent = 0;      ///< alltoallv + p2p payload out
-  std::uint64_t bytes_received = 0;  ///< alltoallv + p2p payload in
+  std::uint64_t bytes_sent = 0;      ///< collective payload out
+  std::uint64_t bytes_received = 0;  ///< collective payload in
   std::uint64_t collectives = 0;     ///< collective operations entered
 };
 
@@ -78,8 +79,6 @@ class Request {
     waited_ = other.waited_;
     send_base_ = other.send_base_;
     recv_base_ = other.recv_base_;
-    recv_counts_ = std::move(other.recv_counts_);
-    sent_ = other.sent_;
     received_ = other.received_;
     value_ = other.value_;
     other.comm_ = nullptr;
@@ -90,26 +89,15 @@ class Request {
   Request(const Request&) = delete;
   Request& operator=(const Request&) = delete;
 
-  bool valid() const noexcept { return comm_ != nullptr; }
-  bool done() const noexcept { return waited_; }
-
-  /// True when the operation has completed (every rank has initiated
-  /// it). Never blocks and never advances the simulated clock.
-  bool test();
-
   /// Block until completion, charge the overlap-aware cost model
   /// (blocked seconds count as wait, in-flight seconds spent computing
   /// count as overlap), and make the results available. Idempotent.
   void wait();
 
-  /// ialltoallv: bytes received from each source rank. Valid after
+  /// ialltoallv: bytes received from all source ranks. Valid after
   /// wait(); the payload lands contiguously in source-rank order at
   /// the start of the receive buffer.
-  const std::vector<std::uint64_t>& recv_counts() const noexcept {
-    return recv_counts_;
-  }
   std::uint64_t bytes_received() const noexcept { return received_; }
-  std::uint64_t bytes_sent() const noexcept { return sent_; }
   /// iallreduce_u64: the reduction result. Valid after wait().
   std::uint64_t value() const noexcept { return value_; }
 
@@ -132,8 +120,6 @@ class Request {
   bool waited_ = false;
   const void* send_base_ = nullptr;  ///< for the race-detector thaw
   const void* recv_base_ = nullptr;
-  std::vector<std::uint64_t> recv_counts_;
-  std::uint64_t sent_ = 0;
   std::uint64_t received_ = 0;
   std::uint64_t value_ = 0;
 };
@@ -179,13 +165,11 @@ class Communicator {
   std::vector<std::uint64_t> alltoall_u64(
       std::span<const std::uint64_t> values);
 
-  std::int64_t allreduce_i64(std::int64_t value, Op op);
   std::uint64_t allreduce_u64(std::uint64_t value, Op op);
   double allreduce_f64(double value, Op op);
   bool allreduce_lor(bool value);
   bool allreduce_land(bool value);
 
-  std::vector<std::int64_t> allgather_i64(std::int64_t value);
   std::vector<std::uint64_t> allgather_u64(std::uint64_t value);
 
   /// Broadcast `data` from `root` into every rank's buffer (all buffers
@@ -215,11 +199,11 @@ class Communicator {
   // "wait"). An immediate wait reproduces the blocking cost exactly.
 
   /// Non-blocking byte-counted all-to-all. Unlike the blocking
-  /// alltoallv, receive counts are not an argument: they are discovered
-  /// at completion (Request::recv_counts), and the payload lands
+  /// alltoallv, receive counts are not an argument: the payload lands
   /// contiguously in source-rank order at the start of `recv`, which
-  /// must be large enough for whatever the peers send. The send and
-  /// recv buffers belong to the operation until wait() returns.
+  /// must be large enough for whatever the peers send, and its total
+  /// is Request::bytes_received(). The send and recv buffers belong to
+  /// the operation until wait() returns.
   Request ialltoallv(std::span<const std::byte> send,
                      std::span<const std::uint64_t> send_counts,
                      std::span<const std::uint64_t> send_displs,
@@ -228,40 +212,49 @@ class Communicator {
   /// Non-blocking u64 allreduce; the result is Request::value().
   Request iallreduce_u64(std::uint64_t value, Op op);
 
-  // --- Point-to-point ---------------------------------------------------
-
-  /// Blocking, buffered send (copies the payload).
-  void send(int dest, int tag, std::span<const std::byte> payload);
-
-  /// Blocking receive matching (source, tag). FIFO per (source, tag).
-  std::vector<std::byte> recv(int source, int tag);
-
   /// Synchronize this rank's clock with all others (max), charging
   /// barrier latency. Used by frameworks at phase boundaries.
   double clock_sync();
 
  private:
-  friend struct detail::SharedState;
   friend class Request;
 
   Communicator(std::shared_ptr<detail::SharedState> shared, int rank,
                simtime::Clock* borrowed_clock);
 
+  /// The one blocking rendezvous every clock-charging collective runs:
+  /// publish the entry clock and fingerprint `shape`, pass the entry
+  /// barrier and the verification fence, run `read()` (the collective's
+  /// copy out of the peers' slots; returns its transfer seconds), then
+  /// take the slowest entry clock, pass the exit barrier and charge
+  /// clock = slowest + collective_latency() + transfer. The caller fills
+  /// its slot before and reads its results after.
+  template <typename Read>
+  void rendezvous(const check::CollectiveFingerprint& shape, Read&& read);
+
+  /// The one non-blocking join both initiations run: take the op for
+  /// this rank's next initiation count, reject a kind mismatch, let
+  /// `publish(part)` fill this rank's part, stamp its clock and
+  /// fingerprint `shape`, and complete the op if this rank initiated
+  /// last. Freezes the non-null buffers for the race detector until
+  /// wait().
+  template <typename Publish>
+  Request nb_join(check::CollectiveFingerprint shape, const void* send_base,
+                  const void* recv_base, Publish&& publish);
+
   // Non-blocking machinery backing Request.
-  bool nb_test(std::uint64_t key);
   void nb_wait(Request& request);
   void nb_withdraw(std::uint64_t key) noexcept;
 
   // mimir-check hooks; all no-ops when the job's checker is null.
-  bool checking() const noexcept;
   int check_global_rank() const noexcept;
-  /// Publish this rank's fingerprint for the collective it is entering.
-  /// Must run before the entry barrier.
-  void check_announce(check::CollectiveOp op, std::uint32_t width,
-                      std::uint32_t extra, std::int32_t root,
-                      std::uint64_t bytes,
-                      const std::uint64_t* send_counts,
-                      const std::uint64_t* recv_counts);
+  /// Publish this rank's fingerprint into `fps` (the slot table's, or a
+  /// non-blocking op's own): `shape` plus the next sequence number,
+  /// `sim_time` and the phase. A blocking collective must call it
+  /// before the entry barrier.
+  void check_announce(std::vector<check::CollectiveFingerprint>& fps,
+                      const check::CollectiveFingerprint& shape,
+                      double sim_time);
   /// Verification fence after the entry barrier: the communicator's
   /// rank 0 compares all fingerprints (throwing mutil::CommError on a
   /// mismatch), then every rank rendezvouses once more so no rank reads

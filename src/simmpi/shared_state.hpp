@@ -1,6 +1,6 @@
 // Internal shared state for a simmpi job: the collective rendezvous slot
-// table, the global barrier, per-rank mailboxes, and the abort channel.
-// Private to the simmpi library.
+// table, the global barrier, the in-flight non-blocking ops, and the
+// abort channel. Private to the simmpi library.
 //
 // Why the slot table is race-free: every collective is bracketed by
 // barrier_wait() calls on the shared generation barrier, so every
@@ -19,7 +19,6 @@
 #include <condition_variable>
 #include <map>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <memory>
 #include <mutex>
@@ -35,32 +34,12 @@ namespace simmpi::detail {
 /// barriers. Cache-line aligned to avoid false sharing on the hot path.
 struct alignas(64) Slot {
   const std::byte* send = nullptr;
-  std::byte* recv = nullptr;
   const std::uint64_t* counts = nullptr;
   const std::uint64_t* displs = nullptr;
-  std::int64_t i64 = 0;
   std::uint64_t u64 = 0;
   double f64 = 0.0;
   double clock = 0.0;
   std::uint64_t bytes = 0;
-};
-
-/// Point-to-point mailbox of one rank.
-struct Mailbox {
-  struct Message {
-    int source = 0;
-    int tag = 0;
-    double arrival = 0.0;  ///< simulated arrival time at the receiver
-    std::vector<std::byte> payload;
-    /// mimir-race: the sender's vector clock snapshotted at send time;
-    /// the receiver joins it on the matched recv (the send -> recv
-    /// happens-before edge). Empty when race checking is off.
-    std::vector<std::uint64_t> race_clock;
-  };
-
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::deque<Message> messages;
 };
 
 /// One in-flight non-blocking collective (ialltoallv / iallreduce_u64).
@@ -71,11 +50,8 @@ struct Mailbox {
 /// SharedState::cv. Count/displacement arrays are copied in at initiate
 /// because the caller's vectors may die before the op completes.
 struct NbOp {
-  enum class Kind { kAlltoallv, kAllreduceU64 };
-
   /// One rank's published arguments.
   struct Part {
-    bool present = false;
     const std::byte* send = nullptr;
     std::byte* recv = nullptr;
     std::uint64_t recv_cap = 0;
@@ -87,7 +63,8 @@ struct NbOp {
     std::uint64_t received = 0;
   };
 
-  Kind kind = Kind::kAlltoallv;
+  /// kIalltoallv or kIallreduceU64, set by the first initiator.
+  check::CollectiveOp kind = check::CollectiveOp::kNone;
   std::uint32_t red_op = 0;  ///< reduction operator (iallreduce)
   int arrived = 0;           ///< initiations so far
   int waited = 0;            ///< completed waits; erase at nranks
@@ -97,12 +74,11 @@ struct NbOp {
   bool withdrawn = false;
   double t_all = 0.0;        ///< max initiation clock across ranks
   std::uint64_t reduced = 0; ///< iallreduce result
+  /// Receive totals are *discovered* at completion (Part::received) —
+  /// ialltoallv takes no recv-count argument, which is what lets the
+  /// overlapped shuffle skip the blocking alltoall_u64 count
+  /// pre-exchange.
   std::vector<Part> parts;
-  /// Filled by the completing initiator: recv_counts[dst][src] bytes.
-  /// Receive counts are *discovered* at completion — ialltoallv takes
-  /// no recv-count argument, which is what lets the overlapped shuffle
-  /// skip the blocking alltoall_u64 count pre-exchange.
-  std::vector<std::vector<std::uint64_t>> recv_counts;
   /// Per-op fingerprint storage: the shared check_fps slots may be
   /// overwritten by a later blocking collective before this op's last
   /// initiator verifies, so non-blocking ops keep their own copies.
@@ -115,10 +91,8 @@ struct SharedState {
         net_latency(latency),
         net_bandwidth(bandwidth),
         slots(static_cast<std::size_t>(num_ranks)),
-        mailboxes(static_cast<std::size_t>(num_ranks)),
         check_fps(static_cast<std::size_t>(num_ranks)),
         check_ranks(static_cast<std::size_t>(num_ranks)) {
-    for (auto& box : mailboxes) box = std::make_unique<Mailbox>();
     for (int r = 0; r < num_ranks; ++r) {
       check_ranks[static_cast<std::size_t>(r)] = r;
     }
@@ -135,10 +109,10 @@ struct SharedState {
   std::uint64_t generation = 0;
   bool aborted = false;
   // When the abort cause was a rank death (mutil::RankFailedError),
-  // peers unwinding out of collectives/recv rethrow a RankFailedError
-  // naming the dead rank instead of a generic CommError, so job-level
-  // recovery can classify the failure. Guarded by `mutex` with
-  // `aborted`.
+  // peers unwinding out of collectives and waits rethrow a
+  // RankFailedError naming the dead rank instead of a generic
+  // CommError, so job-level recovery can classify the failure. Guarded
+  // by `mutex` with `aborted`.
   int failed_rank = -1;
   double failed_time = 0.0;
 
@@ -147,7 +121,6 @@ struct SharedState {
   std::exception_ptr first_error;
 
   std::vector<Slot> slots;
-  std::vector<std::unique_ptr<Mailbox>> mailboxes;
 
   // In-flight non-blocking collectives, keyed by initiation count.
   // Guarded by `mutex`; waiters sleep on `cv` (abort() already wakes
@@ -251,10 +224,6 @@ struct SharedState {
       }
     }
     cv.notify_all();
-    for (auto& box : mailboxes) {
-      const std::scoped_lock lock(box->mutex);
-      box->cv.notify_all();
-    }
     std::vector<std::shared_ptr<SharedState>> kids;
     {
       const std::scoped_lock lock(children_mutex);
@@ -263,17 +232,6 @@ struct SharedState {
       }
     }
     for (auto& kid : kids) kid->abort(error);
-  }
-
-  bool is_aborted() {
-    const std::scoped_lock lock(mutex);
-    return aborted;
-  }
-
-  /// Throw the (classified) abort error if the job has been aborted.
-  void throw_if_aborted() {
-    const std::scoped_lock lock(mutex);
-    if (aborted) throw_aborted_locked();
   }
 };
 

@@ -1,6 +1,6 @@
 // Negative tests for the mimir-check analyzers: each seeds one classic
 // bug (mismatched collectives, pairwise alltoallv disagreement, a
-// send/recv deadlock cycle, a leaked container page) and asserts the
+// wait-for deadlock cycle, a leaked container page) and asserts the
 // check::Report names the faulty ranks and phase. The equivalence test
 // pins the checker's core guarantee: simulated results are bit-identical
 // with checking on or off.
@@ -39,10 +39,6 @@ using check::Diagnostic;
 using check::JobChecker;
 using check::Report;
 using simmpi::Context;
-
-std::span<const std::byte> as_bytes(const std::string& s) {
-  return {reinterpret_cast<const std::byte*>(s.data()), s.size()};
-}
 
 // --- Report unit tests ----------------------------------------------------
 
@@ -105,7 +101,7 @@ TEST(CheckCollective, DivergentRankIsNamed) {
           4,
           [](Context& ctx) {
             if (ctx.rank() == 2) {
-              ctx.comm.allreduce_i64(1, simmpi::Op::kSum);
+              ctx.comm.allreduce_u64(1, simmpi::Op::kSum);
             } else {
               ctx.comm.barrier();
             }
@@ -116,7 +112,7 @@ TEST(CheckCollective, DivergentRankIsNamed) {
   ASSERT_EQ(report.count("collective-mismatch"), 1u);
   const Diagnostic d = report.first("collective-mismatch");
   EXPECT_EQ(d.ranks, std::vector<int>{2});
-  EXPECT_NE(d.message.find("allreduce_i64"), std::string::npos);
+  EXPECT_NE(d.message.find("allreduce_u64"), std::string::npos);
   EXPECT_NE(d.message.find("barrier"), std::string::npos);
 }
 
@@ -210,16 +206,25 @@ CheckConfig fast_watchdog() {
   return cfg;
 }
 
-TEST(CheckDeadlock, RecvCycleIsDetectedAndAborted) {
+TEST(CheckDeadlock, NonblockingWaitCycleIsDetectedAndAborted) {
   Report report;
   JobChecker checker(report, fast_watchdog());
   try {
     simmpi::run_test(
         2,
         [](Context& ctx) {
-          // Classic two-rank cycle: each rank waits for a message the
-          // other never sends.
-          ctx.comm.recv(1 - ctx.rank(), 7);
+          // Two-rank cycle: rank 0 waits on an exchange rank 1 never
+          // starts, while rank 1 waits in a barrier rank 0 never enters.
+          if (ctx.rank() == 0) {
+            const std::vector<std::byte> send(8);
+            std::vector<std::byte> recv(8);
+            const std::vector<std::uint64_t> counts{4, 4}, displs{0, 4};
+            simmpi::Request r =
+                ctx.comm.ialltoallv(send, counts, displs, recv);
+            r.wait();
+          } else {
+            ctx.comm.barrier();
+          }
         },
         nullptr, &checker);
     FAIL() << "deadlocked job returned";
@@ -232,7 +237,9 @@ TEST(CheckDeadlock, RecvCycleIsDetectedAndAborted) {
   std::vector<int> ranks = d.ranks;
   std::sort(ranks.begin(), ranks.end());
   EXPECT_EQ(ranks, (std::vector<int>{0, 1}));
-  EXPECT_NE(d.message.find("recv"), std::string::npos);
+  EXPECT_NE(d.message.find("rank 0: blocked in ialltoallv.wait"),
+            std::string::npos);
+  EXPECT_NE(d.message.find("rank 1: blocked in barrier"), std::string::npos);
   EXPECT_NE(d.message.find("wait-for cycle"), std::string::npos);
 }
 
@@ -262,12 +269,11 @@ TEST(CheckDeadlock, HealthyJobRaisesNoFalsePositives) {
       [](Context& ctx) {
         for (int i = 0; i < 50; ++i) {
           ctx.comm.barrier();
-          if (ctx.rank() == 0) {
-            const std::string ping = "ping";
-            ctx.comm.send(1, i, as_bytes(ping));
-          } else if (ctx.rank() == 1) {
-            ctx.comm.recv(0, i);
-          }
+          // A rank blocked in a non-blocking wait is not deadlocked
+          // either.
+          simmpi::Request vote = ctx.comm.iallreduce_u64(
+              static_cast<std::uint64_t>(i), simmpi::Op::kMax);
+          vote.wait();
           ctx.comm.allreduce_u64(1, simmpi::Op::kSum);
         }
       },

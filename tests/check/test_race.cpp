@@ -1,6 +1,6 @@
 // mimir-race tests: the happens-before engine unit-checked in isolation
 // (deterministic clocks and access sites), the annotation API exercised
-// through real rank threads (barrier / p2p / sched-handoff ordered
+// through real rank threads (barrier / Request::wait / sched-handoff ordered
 // accesses are race-free, unordered ones are reported with both sites'
 // rank, phase, and sim-time), the PR-2 shared-capture regression, the
 // bit-identity guarantee (results identical with the detector on or
@@ -47,10 +47,6 @@ CheckConfig race_config() {
   CheckConfig cfg;
   cfg.race = true;
   return cfg;
-}
-
-std::span<const std::byte> as_bytes(const std::string& s) {
-  return {reinterpret_cast<const std::byte*>(s.data()), s.size()};
 }
 
 std::string_view u64_view(const std::uint64_t& v) {
@@ -137,24 +133,6 @@ TEST(RaceDetectorUnit, ConcurrentReadersDoNotRace) {
   EXPECT_EQ(d.ranks.size(), 2u);
 }
 
-TEST(RaceDetectorUnit, P2pEdgeOrdersSenderThenReceiver) {
-  Report report;
-  RaceDetector det(report);
-  det.reset(2);
-  int region = 0;
-  det.region_register(&region, sizeof(region), "unit.region");
-
-  det.access(&region, 0, /*write=*/true, 1.0, "send-side");
-  const std::vector<std::uint64_t> msg_clock = det.send_edge(0);
-  det.recv_edge(1, msg_clock);
-  det.access(&region, 1, /*write=*/true, 2.0, "recv-side");
-  EXPECT_TRUE(report.empty()) << report.text();
-
-  // The edge is one-way: the sender is NOT ordered after the receiver.
-  det.access(&region, 0, /*write=*/true, 3.0, "send-side");
-  EXPECT_EQ(report.count("write-write-race"), 1u);
-}
-
 TEST(RaceDetectorUnit, HandoffPublishAcquireOrdersConsumers) {
   Report report;
   RaceDetector det(report);
@@ -182,10 +160,12 @@ TEST(RaceDetectorUnit, PageLifecycleTransfersNeedAnEdge) {
   det.reset(2);
   int block = 0;
 
-  // Alloc on rank 0, release on rank 1 with a p2p edge between: clean
-  // ownership transfer.
+  // Alloc on rank 0, release on rank 1 with a handoff edge between:
+  // clean ownership transfer.
+  constexpr std::uint64_t kKey = 7;
   det.page_alloc(0, &block, 64, "kv.page", 1.0, "map");
-  det.recv_edge(1, det.send_edge(0));
+  det.handoff_publish(0, kKey);
+  det.handoff_acquire(1, kKey);
   det.page_release(1, &block, 2.0, "map");
   EXPECT_TRUE(report.empty()) << report.text();
 
@@ -238,28 +218,6 @@ TEST(RaceShared, BarrierSeparatedWritesAreRaceFree) {
       nullptr, &checker);
   EXPECT_TRUE(report.empty()) << report.text();
   EXPECT_EQ(total.unchecked(), 4u);
-}
-
-TEST(RaceShared, P2pMessageOrdersAccessAcrossRanks) {
-  Report report;
-  JobChecker checker(report, race_config());
-  check::Shared<std::uint64_t> value("race.p2p");
-  simmpi::run_test(
-      2,
-      [&](Context& ctx) {
-        if (ctx.rank() == 0) {
-          value.write(7);
-          const std::string token = "go";
-          ctx.comm.send(1, 1, as_bytes(token));
-        } else {
-          (void)ctx.comm.recv(0, 1);
-          EXPECT_EQ(value.read(), 7u);
-          value.write(8);
-        }
-      },
-      nullptr, &checker);
-  EXPECT_TRUE(report.empty()) << report.text();
-  EXPECT_EQ(value.unchecked(), 8u);
 }
 
 TEST(RaceShared, UnorderedCrossRankWritesAreReported) {

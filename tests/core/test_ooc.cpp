@@ -44,7 +44,9 @@ TEST(OocContainer, SpillsOldestPagesAndRoundTrips) {
     int order_probe = 0;
     kvc.scan([&](const KVView& kv) {
       seen[std::string(kv.key)] = std::string(kv.value);
-      if (kv.key == "key0") EXPECT_EQ(order_probe, 0);
+      if (kv.key == "key0") {
+        EXPECT_EQ(order_probe, 0);
+      }
       ++order_probe;
     });
     EXPECT_EQ(seen, expected);

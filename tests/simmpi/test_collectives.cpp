@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstring>
 #include <numeric>
 #include <vector>
 
 #include "mutil/error.hpp"
 #include "simmpi/runtime.hpp"
+#include "stats/registry.hpp"
+#include "stats/trace.hpp"
 
 namespace {
 
@@ -30,12 +34,14 @@ TEST_P(CollectiveTest, BarrierSynchronizesClocks) {
 TEST_P(CollectiveTest, AllreduceSumMaxMin) {
   const int p = GetParam();
   simmpi::run_test(p, [](Context& ctx) {
-    const int r = ctx.rank();
+    const auto r = static_cast<std::uint64_t>(ctx.rank());
     const int n = ctx.size();
-    EXPECT_EQ(ctx.comm.allreduce_i64(r, Op::kSum),
-              static_cast<std::int64_t>(n) * (n - 1) / 2);
-    EXPECT_EQ(ctx.comm.allreduce_i64(r, Op::kMax), n - 1);
-    EXPECT_EQ(ctx.comm.allreduce_i64(r - 5, Op::kMin), -5);
+    EXPECT_EQ(ctx.comm.allreduce_u64(r, Op::kSum),
+              static_cast<std::uint64_t>(n) * (n - 1) / 2);
+    EXPECT_EQ(ctx.comm.allreduce_u64(r, Op::kMax),
+              static_cast<std::uint64_t>(n - 1));
+    EXPECT_DOUBLE_EQ(ctx.comm.allreduce_f64(ctx.rank() - 5.0, Op::kMin),
+                     -5.0);
     EXPECT_DOUBLE_EQ(ctx.comm.allreduce_f64(0.5, Op::kSum), 0.5 * n);
     EXPECT_EQ(ctx.comm.allreduce_u64(r + 1, Op::kMax),
               static_cast<std::uint64_t>(n));
@@ -56,10 +62,12 @@ TEST_P(CollectiveTest, AllreduceLogicalOps) {
 TEST_P(CollectiveTest, AllgatherCollectsInRankOrder) {
   const int p = GetParam();
   simmpi::run_test(p, [](Context& ctx) {
-    const auto values = ctx.comm.allgather_i64(ctx.rank() * 10);
+    const auto values =
+        ctx.comm.allgather_u64(static_cast<std::uint64_t>(ctx.rank()) * 10);
     ASSERT_EQ(values.size(), static_cast<std::size_t>(ctx.size()));
     for (int i = 0; i < ctx.size(); ++i) {
-      EXPECT_EQ(values[static_cast<std::size_t>(i)], i * 10);
+      EXPECT_EQ(values[static_cast<std::size_t>(i)],
+                static_cast<std::uint64_t>(i) * 10);
     }
   });
 }
@@ -173,7 +181,8 @@ TEST_P(CollectiveTest, RepeatedCollectivesStaySound) {
   simmpi::run_test(p, [](Context& ctx) {
     // Stress generation handling: many back-to-back collectives.
     for (int i = 0; i < 50; ++i) {
-      EXPECT_EQ(ctx.comm.allreduce_i64(1, Op::kSum), ctx.size());
+      EXPECT_EQ(ctx.comm.allreduce_u64(1, Op::kSum),
+                static_cast<std::uint64_t>(ctx.size()));
       ctx.comm.barrier();
     }
   });
@@ -214,6 +223,128 @@ TEST(CollectiveClocks, AlltoallvChargesBytesOverBandwidth) {
     // 2000 bytes at 1000 B/s = 2 simulated seconds.
     EXPECT_DOUBLE_EQ(ctx.clock().now(), 2.0);
   });
+}
+
+// Every blocking collective charges one formula: the exit clock is the
+// slowest entry plus collective_latency() plus, for the data-moving
+// collectives, the bytes moved over the bandwidth; each rank records the
+// gap between its own entry and the slowest entry as wait.
+struct ClockCase {
+  const char* name;
+  /// Runs the collective on this rank; returns the bytes it charges.
+  std::uint64_t (*run)(Context& ctx);
+};
+
+const ClockCase kClockCases[] = {
+    {"barrier",
+     [](Context& ctx) -> std::uint64_t {
+       ctx.comm.barrier();
+       return 0;
+     }},
+    {"alltoallv",
+     [](Context& ctx) -> std::uint64_t {
+       // Rank r sends 8 * (r + 1) bytes to every rank, so sent and
+       // received bytes differ per rank.
+       const auto n = static_cast<std::size_t>(ctx.size());
+       const std::uint64_t mine =
+           8 * (static_cast<std::uint64_t>(ctx.rank()) + 1);
+       std::vector<std::uint64_t> send_counts(n, mine), send_displs(n);
+       std::vector<std::uint64_t> recv_counts(n), recv_displs(n);
+       std::uint64_t received = 0;
+       for (std::size_t i = 0; i < n; ++i) {
+         send_displs[i] = mine * i;
+         recv_counts[i] = 8 * (i + 1);
+         recv_displs[i] = received;
+         received += recv_counts[i];
+       }
+       const std::vector<std::byte> send(mine * n);
+       std::vector<std::byte> recv(received);
+       ctx.comm.alltoallv(send, send_counts, send_displs, recv, recv_counts,
+                          recv_displs);
+       return std::max(mine * n, received);
+     }},
+    {"alltoall_u64",
+     [](Context& ctx) -> std::uint64_t {
+       const std::vector<std::uint64_t> values(
+           static_cast<std::size_t>(ctx.size()), 3);
+       (void)ctx.comm.alltoall_u64(values);
+       return 0;
+     }},
+    {"allreduce_u64",
+     [](Context& ctx) -> std::uint64_t {
+       (void)ctx.comm.allreduce_u64(1, Op::kSum);
+       return 0;
+     }},
+    {"allreduce_f64",
+     [](Context& ctx) -> std::uint64_t {
+       (void)ctx.comm.allreduce_f64(0.5, Op::kMax);
+       return 0;
+     }},
+    {"allgather_u64",
+     [](Context& ctx) -> std::uint64_t {
+       (void)ctx.comm.allgather_u64(static_cast<std::uint64_t>(ctx.rank()));
+       return 0;
+     }},
+    {"bcast",
+     [](Context& ctx) -> std::uint64_t {
+       std::vector<std::byte> data(24);
+       ctx.comm.bcast(data, ctx.size() - 1);
+       return data.size();
+     }},
+    {"bcast_u64",
+     [](Context& ctx) -> std::uint64_t {
+       (void)ctx.comm.bcast_u64(9, ctx.size() - 1);
+       return 0;
+     }},
+    {"gatherv",
+     [](Context& ctx) -> std::uint64_t {
+       // The root moves every rank's payload, the others their own.
+       const int root = ctx.size() / 2;
+       const auto payload = [](int r) {
+         return 10 * (static_cast<std::uint64_t>(r) + 1);
+       };
+       const std::vector<std::byte> mine(payload(ctx.rank()));
+       (void)ctx.comm.gatherv(root, mine);
+       if (ctx.rank() != root) return mine.size();
+       std::uint64_t total = 0;
+       for (int r = 0; r < ctx.size(); ++r) total += payload(r);
+       return total;
+     }},
+};
+
+TEST(CollectiveClocks, EveryBlockingCollectiveChargesTheRendezvousFormula) {
+  auto machine = simtime::MachineProfile::test_profile();
+  machine.net_latency = 0.125;
+  machine.net_bandwidth = 1000.0;
+  for (const int n : {2, 5}) {
+    const double latency =
+        machine.net_latency *
+        static_cast<double>(std::bit_width(static_cast<unsigned>(n - 1)));
+    // Skewed entry clocks; for n = 5 the slowest rank is neither the
+    // first nor the last.
+    const auto entry = [n](int r) { return 0.375 * ((3 * r + 1) % n); };
+    double slowest = 0.0;
+    for (int r = 0; r < n; ++r) slowest = std::max(slowest, entry(r));
+    for (const ClockCase& c : kClockCases) {
+      pfs::FileSystem fs(machine, n);
+      stats::Collector collector;
+      simmpi::run(
+          n, machine, fs,
+          [&](Context& ctx) {
+            ctx.clock().advance(entry(ctx.rank()));
+            const std::uint64_t bytes = c.run(ctx);
+            EXPECT_DOUBLE_EQ(ctx.clock().now(),
+                             slowest + latency +
+                                 static_cast<double>(bytes) /
+                                     machine.net_bandwidth)
+                << c.name << ", " << n << " ranks, rank " << ctx.rank();
+            EXPECT_DOUBLE_EQ(stats::current()->wait_total(),
+                             slowest - entry(ctx.rank()))
+                << c.name << ", " << n << " ranks, rank " << ctx.rank();
+          },
+          &collector);
+    }
+  }
 }
 
 }  // namespace

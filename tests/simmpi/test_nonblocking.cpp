@@ -41,20 +41,20 @@ TEST_P(NonblockingTest, IalltoallvDeliversInSourceRankOrder) {
     Request req = ctx.comm.ialltoallv(send, counts, displs, recv);
     req.wait();
 
-    // Counts are discovered at completion; payload is packed
+    // The received total is discovered at completion; payload is packed
     // contiguously in source-rank order.
-    ASSERT_EQ(req.recv_counts().size(), static_cast<std::size_t>(n));
     std::uint64_t offset = 0;
     for (int src = 0; src < n; ++src) {
       const std::uint64_t len = static_cast<std::uint64_t>(src) + 1;
-      EXPECT_EQ(req.recv_counts()[src], len);
       for (std::uint64_t i = 0; i < len; ++i) {
         EXPECT_EQ(std::to_integer<int>(recv[offset + i]), 10 * src + r);
       }
       offset += len;
     }
     EXPECT_EQ(req.bytes_received(), offset);
-    EXPECT_EQ(req.bytes_sent(), chunk * static_cast<std::uint64_t>(n));
+    EXPECT_EQ(ctx.comm.stats().bytes_received, offset);
+    EXPECT_EQ(ctx.comm.stats().bytes_sent,
+              chunk * static_cast<std::uint64_t>(n));
   });
 }
 
@@ -119,13 +119,11 @@ TEST_P(NonblockingTest, InFlightComputeHidesCommunicationAsOverlap) {
           displs[i] = 1024 * static_cast<std::uint64_t>(i);
         }
         Request req = ctx.comm.ialltoallv(send, counts, displs, recv);
-        // Compute long past the operation's completion time: the wait
-        // must neither block nor advance the clock further. The barrier
-        // orders every initiation before test() in real time (test()
-        // itself never blocks).
+        // Compute long past the operation's completion time, with a
+        // blocking collective in between: the wait must neither block
+        // in simulated time nor advance the clock further.
         ctx.clock().advance(100.0);
         ctx.comm.barrier();
-        EXPECT_TRUE(req.test());
         const double before = ctx.clock().now();
         req.wait();
         EXPECT_DOUBLE_EQ(ctx.clock().now(), before);
@@ -144,12 +142,13 @@ TEST_P(NonblockingTest, WaitIsIdempotentAndMovable) {
   simmpi::run_test(p, [](Context& ctx) {
     Request a = ctx.comm.iallreduce_u64(2, Op::kSum);
     Request b = std::move(a);
-    EXPECT_FALSE(a.valid());  // NOLINT(bugprone-use-after-move)
+    // The moved-from handle is empty: waiting on it is a no-op, and
+    // destroying it withdraws nothing.
+    a.wait();  // NOLINT(bugprone-use-after-move)
     b.wait();
     b.wait();
     EXPECT_EQ(b.value(),
               2 * static_cast<std::uint64_t>(ctx.size()));
-    EXPECT_TRUE(b.done());
   });
 }
 
@@ -159,7 +158,6 @@ TEST(NonblockingSingleRank, CompletesAtInitiation) {
     std::vector<std::byte> recv(8);
     const std::vector<std::uint64_t> counts{8}, displs{0};
     Request req = ctx.comm.ialltoallv(send, counts, displs, recv);
-    EXPECT_TRUE(req.test());
     req.wait();
     EXPECT_EQ(req.bytes_received(), 8u);
     EXPECT_EQ(std::to_integer<int>(recv[0]), 42);

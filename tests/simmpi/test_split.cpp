@@ -30,14 +30,16 @@ TEST(CommSplit, CollectivesAreGroupLocal) {
     const int color = ctx.rank() < 2 ? 0 : 1;  // groups of 2 and 4
     auto sub = ctx.comm.split(color, ctx.rank());
     // Sum of new ranks within the group.
-    const auto sum = sub->allreduce_i64(sub->rank(), Op::kSum);
+    const auto sum =
+        sub->allreduce_u64(static_cast<std::uint64_t>(sub->rank()), Op::kSum);
     if (color == 0) {
-      EXPECT_EQ(sum, 0 + 1);
+      EXPECT_EQ(sum, 0u + 1u);
     } else {
-      EXPECT_EQ(sum, 0 + 1 + 2 + 3);
+      EXPECT_EQ(sum, 0u + 1u + 2u + 3u);
     }
     // Gather within the group only.
-    const auto all = sub->allgather_i64(ctx.rank());
+    const auto all =
+        sub->allgather_u64(static_cast<std::uint64_t>(ctx.rank()));
     EXPECT_EQ(all.size(), static_cast<std::size_t>(sub->size()));
   });
 }
@@ -45,10 +47,10 @@ TEST(CommSplit, CollectivesAreGroupLocal) {
 TEST(CommSplit, ParentStillUsableAfterSplit) {
   simmpi::run_test(4, [](Context& ctx) {
     auto sub = ctx.comm.split(ctx.rank() % 2, 0);
-    EXPECT_EQ(sub->allreduce_i64(1, Op::kSum), 2);
+    EXPECT_EQ(sub->allreduce_u64(1, Op::kSum), 2u);
     // Interleave parent and child collectives.
-    EXPECT_EQ(ctx.comm.allreduce_i64(1, Op::kSum), 4);
-    EXPECT_EQ(sub->allreduce_i64(2, Op::kSum), 4);
+    EXPECT_EQ(ctx.comm.allreduce_u64(1, Op::kSum), 4u);
+    EXPECT_EQ(sub->allreduce_u64(2, Op::kSum), 4u);
     ctx.comm.barrier();
   });
 }
@@ -72,7 +74,7 @@ TEST(CommSplit, RepeatedSplitsAndNesting) {
     EXPECT_EQ(half->size(), 4);
     auto quarter = half->split(half->rank() / 2, half->rank());
     EXPECT_EQ(quarter->size(), 2);
-    EXPECT_EQ(quarter->allreduce_i64(1, Op::kSum), 2);
+    EXPECT_EQ(quarter->allreduce_u64(1, Op::kSum), 2u);
     // A second split of the root with the same colors must not collide
     // with the first one's rendezvous.
     auto again = ctx.comm.split(ctx.rank() / 4, ctx.rank());
@@ -103,7 +105,7 @@ TEST(CommSplit, SingletonGroups) {
     auto solo = ctx.comm.split(ctx.rank(), 0);  // every rank its own group
     EXPECT_EQ(solo->size(), 1);
     EXPECT_EQ(solo->rank(), 0);
-    EXPECT_EQ(solo->allreduce_i64(7, Op::kSum), 7);
+    EXPECT_EQ(solo->allreduce_u64(7, Op::kSum), 7u);
   });
 }
 
