@@ -6,8 +6,8 @@
 // edge — the insitu_pipeline example at bench scale. Three drivers run
 // the identical jobs:
 //
-//   manual loop:    the hand-rolled sequence of mimir::Job runs every
-//                   iterative app in this repo used before src/sched;
+//   manual loop:    a hand-rolled sequence of mimir::Job runs, the
+//                   way BFS and k-means drive their iterations;
 //   sched seq:      the same chains as a sched::Graph, max_concurrency
 //                   1 (must match the manual loop exactly — the
 //                   scheduler's overhead is zero by construction);

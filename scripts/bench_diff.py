@@ -32,6 +32,15 @@ matched point the tool compares:
     stats section existed simply lack it: the diff reports "n/a" for
     both io metrics and never fails on them.
 
+--exact turns the gate for deterministic simulated numbers exact: at
+a relative tolerance of 1e-9 (the JSON prints about 12 significant
+digits) sim_time, shuffle_bytes and rank_peak must match in either
+direction, and so must seconds, wait_seconds and mem_peak of every
+phase the baseline point carries. A phase only the candidate has is
+listed but never fails the diff; a baseline phase or field the
+candidate lacks, or a field the baseline lacks, does. node_peak keeps
+--mem-pct, because it follows the interleaving of the rank threads.
+
 A point whose status degrades (ok/spill -> oom/err) is always a
 regression; a baseline point missing from the candidate is too. New
 points in the candidate are reported but never fail the diff. A metric
@@ -58,6 +67,8 @@ import json
 import sys
 
 RUNNABLE = {"ok", "spill"}
+EXACT_REL = 1e-9
+EXACT_PHASE_FIELDS = ("seconds", "wait_seconds", "mem_peak")
 
 
 def load(path):
@@ -117,6 +128,31 @@ def fmt_pct(x):
     return f"{x * 100:+.2f}%"
 
 
+def exact_equal(base, cand):
+    return abs(cand - base) <= EXACT_REL * abs(base)
+
+
+def exact_phase_diffs(base, cand):
+    """--exact: yields (metric, text, regressed) for every baseline phase
+    field the candidate does not match, and for every phase only the
+    candidate has (listed, never a regression)."""
+    b_phases = base.get("stats", {}).get("phases", {})
+    c_phases = cand.get("stats", {}).get("phases", {})
+    for name, b_phase in b_phases.items():
+        c_phase = c_phases.get(name)
+        if c_phase is None:
+            yield f"phase {name}", "missing from candidate", True
+            continue
+        for field in EXACT_PHASE_FIELDS:
+            b_val, c_val = b_phase.get(field, 0), c_phase.get(field, 0)
+            if not exact_equal(b_val, c_val):
+                yield (f"phase {name}.{field}",
+                       f"{b_val} -> {c_val} (exact)", True)
+    for name in c_phases:
+        if name not in b_phases:
+            yield f"phase {name}", "new phase (not in baseline)", False
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="bench_diff.py",
@@ -142,6 +178,10 @@ def main(argv=None):
     parser.add_argument("--io-hidden-pct", type=float, default=25.0,
                         help="allowed io_hidden_seconds DECREASE, percent "
                              "(default 25)")
+    parser.add_argument("--exact", action="store_true",
+                        help="compare sim_time, shuffle_bytes, rank_peak "
+                             "and every baseline phase's seconds, "
+                             "wait_seconds and mem_peak exactly")
     parser.add_argument("--require", action="append", default=[],
                         metavar="NAME=VALUE",
                         help="assert candidate flags[NAME] == VALUE "
@@ -215,6 +255,14 @@ def main(argv=None):
             b_val, c_val = base.get(field, 0), cand.get(field, 0)
             if field not in base and field not in cand:
                 continue  # metric predates both documents (e.g. rank_peak)
+            if args.exact and field != "node_peak":
+                if field not in base:
+                    note(key, metric,
+                         f"absent from baseline; candidate {c_val} (exact)",
+                         True)
+                elif not exact_equal(b_val, c_val):
+                    note(key, metric, f"{b_val} -> {c_val} (exact)", True)
+                continue
             if field not in base or b_val == 0:
                 # A relative threshold is meaningless against a zero or
                 # absent baseline: report the value, never fail on it.
@@ -230,6 +278,10 @@ def main(argv=None):
                 note(key, metric,
                      f"{b_val} -> {c_val} "
                      f"({fmt_pct(change)}, limit +{pct:g}%)", over)
+
+        if args.exact:
+            for metric, text, regressed in exact_phase_diffs(base, cand):
+                note(key, metric, text, regressed)
 
         b_wait, c_wait = wait_fraction(base), wait_fraction(cand)
         if b_wait is not None and c_wait is not None:

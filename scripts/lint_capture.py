@@ -21,7 +21,7 @@ argument region of a *sink*:
     run_driver, run_attempts, run_with_recovery, run_with_retry,
     run_graph, run_graph_with_recovery
   * sched callback slots: assignments to .producer / .kv_map / .reduce /
-    .partial / .consume / .skip / .make_state
+    .partial / .consume / .make_state
   * with --strict, also per-job map/reduce callbacks (job.map_custom,
     job.map_kvs, job.map, job.reduce, job.partial_reduce) — these run on
     one rank thread, but the callback may still leak a captured
@@ -67,7 +67,6 @@ ASSIGN_SINKS = [
     r"\.\s*reduce\s*=",
     r"\.\s*partial\s*=",
     r"\.\s*consume\s*=",
-    r"\.\s*skip\s*=",
     r"\.\s*make_state\s*=",
     r"\.\s*on_plan\s*=",
 ]

@@ -1,19 +1,15 @@
 #include "apps/bfs.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <deque>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "apps/csr.hpp"
 #include "apps/vertex_map.hpp"
-#include "mutil/error.hpp"
 #include "mutil/hash.hpp"
 #include "mutil/random.hpp"
-#include "sched/scheduler.hpp"
 
 namespace apps::bfs {
 
@@ -242,154 +238,6 @@ Result run_mrmpi(simmpi::Context& ctx, const RunOptions& opts,
   Result r = finalize(ctx, visited, levels_with_visits);
   r.spilled = ctx.comm.allreduce_lor(mr.metrics().spilled);
   return r;
-}
-
-// --- dataflow-scheduler driver -------------------------------------------
-
-namespace {
-
-/// Rank-local traversal state threaded through the graph's node hooks.
-struct BfsState {
-  explicit BfsState(simmpi::Context& ctx)
-      : csr(ctx.tracker), visited(ctx.tracker) {}
-
-  Csr csr;
-  VertexMap<std::uint64_t> visited;
-  std::uint64_t level = 0;
-  std::uint64_t levels_with_visits = 0;
-  std::uint64_t new_visits = 0;
-  bool done = false;  ///< the global frontier drained — skip the rest
-};
-
-BfsState* bfs_state(sched::NodeCtx& nctx) {
-  return static_cast<BfsState*>(nctx.state);
-}
-
-/// Claim `v` at the current level and emit its neighbours as the next
-/// frontier — the loop body of run_mimir's map_kvs.
-void visit(BfsState& st, std::uint64_t v, mimir::Emitter& out) {
-  if (!st.visited.insert_if_absent(v, st.level)) return;
-  ++st.new_visits;
-  for (const std::uint64_t n : st.csr.neighbors_of(v)) {
-    out.emit(id_view(n), id_view(v));
-  }
-}
-
-}  // namespace
-
-SchedRun make_sched(const RunOptions& opts, int nranks) {
-  if (opts.sched_max_levels < 1) {
-    throw mutil::UsageError("bfs: sched_max_levels must be >= 1");
-  }
-  mimir::JobConfig cfg;
-  cfg.page_size = opts.page_size;
-  cfg.comm_buffer = opts.comm_buffer;
-  cfg.hint = hint_for(opts.hint);
-  mimir::JobConfig traversal_cfg = cfg;
-  traversal_cfg.kv_compression = opts.cps;
-  const mimir::CombineFn combiner = opts.cps
-                                        ? mimir::CombineFn(combine_min_parent)
-                                        : mimir::CombineFn{};
-
-  SchedRun run;
-  run.results = std::make_shared<std::vector<Result>>(nranks);
-
-  sched::JobNode partition;
-  partition.name = "bfs-partition";
-  partition.config = cfg;
-  partition.producer = [opts](sched::NodeCtx& nctx, mimir::Emitter& out) {
-    const std::uint64_t edges = opts.num_edges();
-    const auto r = static_cast<std::uint64_t>(nctx.exec.rank());
-    const auto p = static_cast<std::uint64_t>(nctx.exec.size());
-    for (std::uint64_t e = edges * r / p; e < edges * (r + 1) / p; ++e) {
-      const auto [u, v] = kronecker_edge(opts.scale, opts.seed, e);
-      out.emit(id_view(u), id_view(v));
-      out.emit(id_view(v), id_view(u));
-    }
-  };
-  partition.consume = [](sched::NodeCtx& nctx, mimir::KVContainer& out) {
-    bfs_state(nctx)->csr.build([&](const auto& fn) { out.scan(fn); });
-  };
-  int prev = run.graph.add(std::move(partition));
-
-  // The frontier's emptiness check and the new-visit count land in each
-  // node's consume hook, so the collective sequence (and thus the
-  // simulated clock) is exactly the manual loop's: check, map, count,
-  // check, map, count, ... — the next level's check is merely computed
-  // one hook early and carried in BfsState::done.
-  const auto consume = [](sched::NodeCtx& nctx, mimir::KVContainer& out) {
-    BfsState* st = bfs_state(nctx);
-    if (nctx.exec.comm.allreduce_u64(st->new_visits, simmpi::Op::kSum) !=
-        0) {
-      st->levels_with_visits = st->level;
-    }
-    ++st->level;
-    st->done =
-        nctx.exec.comm.allreduce_u64(out.num_kvs(), simmpi::Op::kSum) == 0;
-    st->new_visits = 0;
-  };
-
-  // Level 0 seeds the frontier itself: the loop-top emptiness check and
-  // the map-input cost of the manual code's one seeded (root, root) KV
-  // are replayed explicitly so the clocks stay identical.
-  sched::JobNode level0;
-  level0.name = "bfs-level0";
-  level0.config = traversal_cfg;
-  level0.combiner = combiner;
-  level0.producer = [opts](sched::NodeCtx& nctx, mimir::Emitter& out) {
-    BfsState* st = bfs_state(nctx);
-    const std::uint64_t root = opts.root();
-    const bool owner =
-        owner_of(root, nctx.exec.size()) == nctx.exec.rank();
-    nctx.exec.comm.allreduce_u64(owner ? 1 : 0, simmpi::Op::kSum);
-    if (!owner) return;
-    nctx.exec.clock().advance(16.0 / nctx.exec.machine.map_rate);
-    visit(*st, root, out);
-  };
-  level0.consume = consume;
-  {
-    const int id = run.graph.add(std::move(level0));
-    run.graph.add_order(prev, id);
-    prev = id;
-  }
-
-  for (int l = 1; l < opts.sched_max_levels; ++l) {
-    sched::JobNode step;
-    step.name = "bfs-level" + std::to_string(l);
-    step.config = traversal_cfg;
-    step.combiner = combiner;
-    step.skip = [](sched::NodeCtx& nctx) { return bfs_state(nctx)->done; };
-    step.kv_map = [](sched::NodeCtx& nctx, std::string_view key,
-                     std::string_view, mimir::Emitter& out) {
-      visit(*bfs_state(nctx), mimir::as_u64(key), out);
-    };
-    step.consume = consume;
-    const int id = run.graph.add(std::move(step));
-    run.graph.add_edge(prev, id);
-    prev = id;
-  }
-
-  run.options.make_state = [](simmpi::Context& ctx) {
-    return std::static_pointer_cast<void>(std::make_shared<BfsState>(ctx));
-  };
-  auto results = run.results;
-  run.options.epilogue = [results](sched::NodeCtx& nctx) {
-    BfsState* st = bfs_state(nctx);
-    if (!st->done) {
-      throw mutil::UsageError(
-          "bfs: sched_max_levels too small for the BFS depth");
-    }
-    (*results)[nctx.world_rank] =
-        finalize(nctx.exec, st->visited, st->levels_with_visits);
-  };
-  return run;
-}
-
-Result run_sched(int nranks, const simtime::MachineProfile& machine,
-                 pfs::FileSystem& fs, const RunOptions& opts) {
-  SchedRun run = make_sched(opts, nranks);
-  sched::run_graph(nranks, machine, fs, run.graph, run.options);
-  return run.results->front();
 }
 
 }  // namespace apps::bfs

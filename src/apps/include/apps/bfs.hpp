@@ -18,16 +18,19 @@
 //
 // Keys and values are 64-bit vertex ids, so the KV-hint (fixed 8/8)
 // applies naturally.
+//
+// The Mimir driver is one job loop, run_mimir: the BFS depth is data
+// dependent, so each level's job exists only if the previous level's
+// frontier is non-empty — a static sched::Graph would have to declare
+// a maximum depth of levels that skip themselves.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "mimir/job.hpp"
 #include "mrmpi/mrmpi.hpp"
-#include "sched/graph.hpp"
 #include "simmpi/runtime.hpp"
 
 namespace apps::bfs {
@@ -45,9 +48,6 @@ struct RunOptions {
   std::uint64_t comm_buffer = 64 << 10;
   bool hint = false;
   bool cps = false;  ///< min-parent combiner on the frontier exchange
-  /// Traversal-level nodes in the sched::Graph form (BFS depth is data
-  /// dependent, but a DAG is static — unneeded levels self-skip).
-  int sched_max_levels = 48;
 
   std::uint64_t num_vertices() const {
     return 1ull << scale;
@@ -74,27 +74,5 @@ Result reference(const RunOptions& opts);
 Result run_mimir(simmpi::Context& ctx, const RunOptions& opts);
 Result run_mrmpi(simmpi::Context& ctx, const RunOptions& opts,
                  mrmpi::OocMode ooc = mrmpi::OocMode::kSpill);
-
-/// BFS as a sched::Graph: a partition node plus `sched_max_levels`
-/// traversal nodes chained by data edges (each level's frontier hands
-/// off to the next by move); levels past the data-dependent BFS depth
-/// skip themselves. Throws mutil::UsageError from the epilogue when
-/// `sched_max_levels` is too small for the actual depth.
-///
-/// Note: run with run_graph (no checkpoint resume). The visited map is
-/// built during the map phase, not derivable from node outputs, so the
-/// consume hooks cannot rebuild it on a recovery resume — violating the
-/// GraphOptions::make_state contract checkpointed graphs rely on.
-struct SchedRun {
-  sched::Graph graph;
-  sched::GraphOptions options;
-  std::shared_ptr<std::vector<Result>> results;  ///< per world rank
-};
-SchedRun make_sched(const RunOptions& opts, int nranks);
-
-/// Convenience: make_sched + sched::run_graph; returns rank 0's result
-/// (identical on every rank).
-Result run_sched(int nranks, const simtime::MachineProfile& machine,
-                 pfs::FileSystem& fs, const RunOptions& opts);
 
 }  // namespace apps::bfs

@@ -10,17 +10,18 @@
 //           naturally);
 //
 // after which the per-centroid totals are gathered and broadcast and
-// every rank computes the new centroids. Runs on both frameworks.
+// every rank computes the new centroids. Runs on both frameworks, and
+// both drivers share one iteration loop (drive() in kmeans.cpp): the
+// state handed from one iteration to the next is the centroid vector,
+// not a KV container, so a sched::Graph would add no data edge.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "mimir/job.hpp"
 #include "mrmpi/mrmpi.hpp"
-#include "sched/graph.hpp"
 #include "simmpi/runtime.hpp"
 
 namespace apps::km {
@@ -58,20 +59,5 @@ Result reference(const RunOptions& opts);
 Result run_mimir(simmpi::Context& ctx, const RunOptions& opts);
 Result run_mrmpi(simmpi::Context& ctx, const RunOptions& opts,
                  mrmpi::OocMode ooc = mrmpi::OocMode::kSpill);
-
-/// Lloyd's algorithm as a sched::Graph: one node per iteration, chained
-/// by order edges (the handed-off state is the centroid vector, which
-/// lives in the per-rank session state, not a KV container).
-struct SchedRun {
-  sched::Graph graph;
-  sched::GraphOptions options;
-  std::shared_ptr<std::vector<Result>> results;  ///< per world rank
-};
-SchedRun make_sched(const RunOptions& opts, int nranks);
-
-/// Convenience: make_sched + sched::run_graph; returns rank 0's result
-/// (identical on every rank).
-Result run_sched(int nranks, const simtime::MachineProfile& machine,
-                 pfs::FileSystem& fs, const RunOptions& opts);
 
 }  // namespace apps::km

@@ -12,6 +12,11 @@
 // Each iteration is one MapReduce job: map emits (v, pr(u)/outdeg(u))
 // contributions from the owner of u; the reduction sums contributions
 // at the owner of v. The sum-combiner makes pr/cps applicable.
+//
+// The Mimir driver is written once, as the sched::Graph of make_sched;
+// run_mimir runs that graph on the caller's context (sched::run_in).
+// tests/sched/test_sched_apps.cpp pins its clock, shuffle volume, rank
+// peaks and map-phase time.
 #pragma once
 
 #include <cstdint>
@@ -66,6 +71,8 @@ Result reference(const RunOptions& opts);
 std::unordered_map<std::uint64_t, double> reference_ranks(
     const RunOptions& opts);
 
+/// make_sched(opts, ctx.size()) run by sched::run_in; every rank of
+/// `ctx` calls it.
 Result run_mimir(simmpi::Context& ctx, const RunOptions& opts);
 Result run_mrmpi(simmpi::Context& ctx, const RunOptions& opts,
                  mrmpi::OocMode ooc = mrmpi::OocMode::kSpill);
@@ -79,33 +86,21 @@ struct TopKEntry {
   friend bool operator==(const TopKEntry&, const TopKEntry&) = default;
 };
 
-/// Manual sequential baseline for the pagerank + top-k pipeline: the
-/// iteration loop of run_mimir followed by a top-k job fed the final
-/// iteration's output via map_kvs. `top` receives this rank's merged
-/// entries (non-empty only on the hash owner of the top-k key).
-Result run_mimir_topk(simmpi::Context& ctx, const RunOptions& opts, int k,
-                      std::vector<TopKEntry>* top);
-
 /// PageRank as a sched::Graph: a partition node, one node per power
 /// iteration (chained with order edges), and — when top_k > 0 — a
 /// downstream top-k job fed by a data edge from the last iteration.
 /// `options` comes prefilled with the per-rank state factory and the
 /// epilogue; callers may still set budget/concurrency/checkpoint knobs
-/// before running the graph.
+/// before running the graph. The graph resumes from checkpoints
+/// (sched::run_graph_with_recovery).
 struct SchedRun {
   sched::Graph graph;
   sched::GraphOptions options;
   std::shared_ptr<std::vector<Result>> results;  ///< per world rank
-  std::shared_ptr<std::vector<std::vector<TopKEntry>>> tops;  ///< per rank
+  /// Per world rank: its merged top-k entries (non-empty only on the
+  /// hash owner of the top-k key).
+  std::shared_ptr<std::vector<std::vector<TopKEntry>>> tops;
 };
 SchedRun make_sched(const RunOptions& opts, int nranks, int top_k = 0);
-
-/// Convenience: make_sched + sched::run_graph; returns rank 0's result
-/// (identical on every rank). `tops` receives the per-rank top-k lists
-/// when top_k > 0.
-Result run_sched(int nranks, const simtime::MachineProfile& machine,
-                 pfs::FileSystem& fs, const RunOptions& opts,
-                 int top_k = 0,
-                 std::vector<std::vector<TopKEntry>>* tops = nullptr);
 
 }  // namespace apps::pr

@@ -8,7 +8,6 @@
 
 #include "mutil/hash.hpp"
 #include "mutil/random.hpp"
-#include "sched/scheduler.hpp"
 
 namespace apps::km {
 
@@ -296,152 +295,6 @@ Result run_mrmpi(simmpi::Context& ctx, const RunOptions& opts,
           as_partial(kv.value);
     });
   });
-}
-
-// --- dataflow-scheduler driver -------------------------------------------
-
-namespace {
-
-/// Rank-local session state: the point slice (mirroring drive()'s
-/// up-front generation and tracker charge) plus the evolving result.
-struct KmState {
-  KmState(simmpi::Context& ctx, const RunOptions& opts) {
-    const auto begin =
-        opts.num_points * static_cast<std::uint64_t>(ctx.rank()) /
-        static_cast<std::uint64_t>(ctx.size());
-    const auto end =
-        opts.num_points * (static_cast<std::uint64_t>(ctx.rank()) + 1) /
-        static_cast<std::uint64_t>(ctx.size());
-    points.reserve(static_cast<std::size_t>(end - begin));
-    for (std::uint64_t i = begin; i < end; ++i) {
-      points.push_back(blob_point(opts, i));
-    }
-    ctx.tracker.allocate(points.size() * sizeof(Centroid));
-    result.centroids = blob_centers(opts);
-    result.counts.assign(result.centroids.size(), 0);
-  }
-
-  std::vector<Centroid> points;
-  Result result;
-};
-
-KmState* km_state(sched::NodeCtx& nctx) {
-  return static_cast<KmState*>(nctx.state);
-}
-
-/// The gather/sum/broadcast/update tail of one drive() iteration.
-void km_fold_totals(sched::NodeCtx& nctx, mimir::KVContainer& out) {
-  KmState* st = km_state(nctx);
-  const auto k = st->result.centroids.size();
-  std::vector<Partial> local(k);
-  out.scan([&](const mimir::KVView& kv) {
-    local[static_cast<std::size_t>(mimir::as_u64(kv.key))] =
-        as_partial(kv.value);
-  });
-  std::vector<Partial> totals(k);
-  const auto gathered = nctx.exec.comm.gatherv(
-      0, std::span<const std::byte>(
-             reinterpret_cast<const std::byte*>(local.data()),
-             local.size() * sizeof(Partial)));
-  if (nctx.exec.rank() == 0) {
-    for (int r = 0; r < nctx.exec.size(); ++r) {
-      const auto* part = reinterpret_cast<const Partial*>(
-          gathered.data.data() +
-          static_cast<std::size_t>(r) * k * sizeof(Partial));
-      for (std::size_t c = 0; c < k; ++c) {
-        totals[c].sx += part[c].sx;
-        totals[c].sy += part[c].sy;
-        totals[c].sz += part[c].sz;
-        totals[c].n += part[c].n;
-      }
-    }
-  }
-  nctx.exec.comm.bcast(
-      std::span<std::byte>(reinterpret_cast<std::byte*>(totals.data()),
-                           totals.size() * sizeof(Partial)),
-      0);
-  st->result.last_shift =
-      apply_totals(totals, st->result.centroids, st->result.counts);
-}
-
-}  // namespace
-
-SchedRun make_sched(const RunOptions& opts, int nranks) {
-  mimir::JobConfig cfg;
-  cfg.page_size = opts.page_size;
-  cfg.comm_buffer = opts.comm_buffer;
-  if (opts.hint) cfg.hint = mimir::KVHint::fixed(8, sizeof(Partial));
-  cfg.kv_compression = opts.cps;
-
-  SchedRun run;
-  run.results = std::make_shared<std::vector<Result>>(nranks);
-
-  int prev = -1;
-  for (int it = 0; it < opts.iterations; ++it) {
-    sched::JobNode step;
-    step.name = "km-iter" + std::to_string(it);
-    step.config = cfg;
-    step.producer = [](sched::NodeCtx& nctx, mimir::Emitter& out) {
-      KmState* st = km_state(nctx);
-      for (const Centroid& p : st->points) {
-        const auto c = static_cast<std::uint64_t>(
-            nearest(st->result.centroids, p));
-        const Partial one{p.x, p.y, p.z, 1};
-        out.emit(id_view(c), partial_view(one));
-      }
-    };
-    step.combiner =
-        opts.cps ? mimir::CombineFn(combine_partials) : mimir::CombineFn{};
-    if (opts.pr) {
-      step.partial = combine_partials;
-    } else {
-      step.reduce = [](std::string_view key, mimir::ValueReader& values,
-                       mimir::Emitter& out) {
-        Partial total;
-        std::string_view v;
-        while (values.next(v)) {
-          const Partial p = as_partial(v);
-          total.sx += p.sx;
-          total.sy += p.sy;
-          total.sz += p.sz;
-          total.n += p.n;
-        }
-        out.emit(key, partial_view(total));
-      };
-    }
-    step.consume = km_fold_totals;
-    const int id = run.graph.add(std::move(step));
-    if (prev >= 0) run.graph.add_order(prev, id);
-    prev = id;
-  }
-
-  run.options.make_state = [opts](simmpi::Context& ctx) {
-    return std::static_pointer_cast<void>(
-        std::make_shared<KmState>(ctx, opts));
-  };
-  auto results = run.results;
-  run.options.epilogue = [results](sched::NodeCtx& nctx) {
-    KmState* st = km_state(nctx);
-    double inertia = 0;
-    for (const Centroid& p : st->points) {
-      inertia += distance2(
-          st->result.centroids[static_cast<std::size_t>(
-              nearest(st->result.centroids, p))],
-          p);
-    }
-    st->result.inertia =
-        nctx.exec.comm.allreduce_f64(inertia, simmpi::Op::kSum);
-    nctx.exec.tracker.release(st->points.size() * sizeof(Centroid));
-    (*results)[nctx.world_rank] = st->result;
-  };
-  return run;
-}
-
-Result run_sched(int nranks, const simtime::MachineProfile& machine,
-                 pfs::FileSystem& fs, const RunOptions& opts) {
-  SchedRun run = make_sched(opts, nranks);
-  sched::run_graph(nranks, machine, fs, run.graph, run.options);
-  return run.results->front();
 }
 
 }  // namespace apps::km

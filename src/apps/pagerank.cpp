@@ -192,141 +192,6 @@ Result reference(const RunOptions& opts) {
   return result;
 }
 
-static Result run_mimir_impl(simmpi::Context& ctx, const RunOptions& opts,
-                             int k, std::vector<TopKEntry>* top) {
-  const std::uint64_t n = opts.num_vertices();
-  mimir::JobConfig cfg;
-  cfg.page_size = opts.page_size;
-  cfg.comm_buffer = opts.comm_buffer;
-  cfg.hint = hint_for(opts.hint);
-  cfg.kv_compression = opts.cps;
-  cfg.overlap = opts.overlap;
-  // Balance applies to the per-iteration contribution shuffles, where
-  // high-in-degree vertices concentrate received bytes. The merge pass
-  // re-homes planned keys, so the owner_of() placement the consume side
-  // relies on is preserved.
-  cfg.balance.enabled = opts.balance;
-
-  // Partition phase: route each directed edge to its source's owner.
-  // Compression applies to the per-iteration contribution exchange, not
-  // here (adjacency needs every edge). Balance is off too: the edge
-  // list is shuffled exactly once, so a merge pass could only add cost.
-  mimir::JobConfig partition_cfg = cfg;
-  partition_cfg.kv_compression = false;
-  partition_cfg.balance.enabled = false;
-  mimir::Job partition(ctx, partition_cfg);
-  partition.map_custom([&](mimir::Emitter& out) {
-    const std::uint64_t edges = opts.num_edges();
-    const auto r = static_cast<std::uint64_t>(ctx.rank());
-    const auto p = static_cast<std::uint64_t>(ctx.size());
-    for (std::uint64_t e = edges * r / p; e < edges * (r + 1) / p; ++e) {
-      const auto [u, v] = edge_of(opts, e);
-      out.emit(id_view(u), id_view(v));
-    }
-  });
-  Csr out_edges(ctx.tracker);
-  {
-    mimir::KVContainer edges = partition.take_intermediate();
-    out_edges.build([&](const auto& fn) { edges.scan(fn); });
-  }
-
-  const std::vector<std::uint64_t> owned =
-      owned_vertices(n, ctx.rank(), ctx.size());
-  ctx.tracker.allocate(owned.size() * 8);
-  VertexMap<double> ranks(ctx.tracker);
-  double dangling_local = 0;
-  for (const std::uint64_t v : owned) {
-    ranks.put(v, 1.0 / static_cast<double>(n));
-    if (out_edges.degree_of(v) == 0) {
-      dangling_local += 1.0 / static_cast<double>(n);
-    }
-  }
-  const double base = (1.0 - opts.damping) / static_cast<double>(n);
-
-  Result result;
-  std::optional<mimir::KVContainer> final_out;
-  for (int it = 0; it < opts.iterations; ++it) {
-    const double dangling =
-        ctx.comm.allreduce_f64(dangling_local, simmpi::Op::kSum);
-    mimir::Job step(ctx, cfg);
-    step.map_custom(
-        [&](mimir::Emitter& out) {
-          for (const std::uint64_t v : owned) {
-            const auto neighbors = out_edges.neighbors_of(v);
-            if (neighbors.empty()) continue;
-            const double share = ranks.find(v).value_or(0.0) /
-                                 static_cast<double>(neighbors.size());
-            for (const std::uint64_t t : neighbors) {
-              out.emit(id_view(t), mimir::as_view(share));
-            }
-          }
-        },
-        // Handed over when balance is on too (unused during the map
-        // without cps): the merge pass sums each split rank's share of
-        // a hot vertex locally before re-homing it.
-        opts.cps || opts.balance ? mimir::CombineFn(combine_sum)
-                                 : mimir::CombineFn{});
-    step.partial_reduce(combine_sum);
-
-    VertexMap<double> contributions(ctx.tracker);
-    step.output().scan([&](const mimir::KVView& kv) {
-      contributions.put(mimir::as_u64(kv.key), mimir::as_f64(kv.value));
-    });
-    const double local_delta = apply_update(
-        owned, contributions, out_edges, dangling / static_cast<double>(n),
-        base, opts.damping, ranks, &dangling_local);
-    result.last_delta =
-        ctx.comm.allreduce_f64(local_delta, simmpi::Op::kSum);
-    if (k > 0 && it + 1 == opts.iterations) {
-      final_out = step.take_output();
-    }
-  }
-
-  // Downstream top-k: a second job chained on the final iteration's
-  // output container — the same data handoff the scheduler performs
-  // over a data edge.
-  if (k > 0) {
-    mimir::Job topk(ctx, topk_config(opts));
-    topk.map_kvs(std::move(*final_out), topk_map_kv);
-    topk.partial_reduce(topk_combiner(k));
-    top->clear();
-    topk.output().scan([&](const mimir::KVView& kv) {
-      const auto entries = unpack_topk(kv.value);
-      top->insert(top->end(), entries.begin(), entries.end());
-    });
-  }
-
-  double local_total = 0, local_max = 0;
-  std::uint64_t local_argmax = 0;
-  ranks.for_each([&](std::uint64_t v, double r) {
-    local_total += r;
-    if (r > local_max) {
-      local_max = r;
-      local_argmax = v;
-    }
-  });
-  result.total_rank =
-      ctx.comm.allreduce_f64(local_total, simmpi::Op::kSum);
-  result.max_rank = ctx.comm.allreduce_f64(local_max, simmpi::Op::kMax);
-  result.max_vertex = ctx.comm.allreduce_u64(
-      local_max == result.max_rank ? local_argmax : 0, simmpi::Op::kMax);
-  ctx.tracker.release(owned.size() * 8);
-  return result;
-}
-
-Result run_mimir(simmpi::Context& ctx, const RunOptions& opts) {
-  return run_mimir_impl(ctx, opts, 0, nullptr);
-}
-
-Result run_mimir_topk(simmpi::Context& ctx, const RunOptions& opts, int k,
-                      std::vector<TopKEntry>* top) {
-  if (k < 1) throw mutil::UsageError("pagerank: top-k needs k >= 1");
-  if (opts.iterations < 1) {
-    throw mutil::UsageError("pagerank: top-k needs at least one iteration");
-  }
-  return run_mimir_impl(ctx, opts, k, top);
-}
-
 Result run_mrmpi(simmpi::Context& ctx, const RunOptions& opts,
                  mrmpi::OocMode ooc) {
   const std::uint64_t n = opts.num_vertices();
@@ -417,22 +282,21 @@ Result run_mrmpi(simmpi::Context& ctx, const RunOptions& opts,
   return result;
 }
 
-// --- dataflow-scheduler driver -------------------------------------------
+// --- Mimir driver: the job graph -----------------------------------------
 
 namespace {
 
 /// Rank-local session state threaded through the graph's node hooks;
 /// rebuilt from node outputs on every attempt, so recovery resumes can
 /// reconstruct it by replaying consume hooks on reloaded checkpoints.
+/// The partition's consume hook builds the tracked maps, so they are
+/// charged after the partition job, not during it.
 struct PrState {
-  explicit PrState(simmpi::Context& ctx)
-      : out_edges(ctx.tracker), ranks(ctx.tracker) {}
-
-  Csr out_edges;
+  std::optional<Csr> out_edges;
   std::vector<std::uint64_t> owned;
-  VertexMap<double> ranks;
+  std::optional<VertexMap<double>> ranks;
   double dangling_local = 0;
-  double dangling = 0;  ///< global dangling mass of the current iteration
+  double dangling = 0;  ///< global dangling mass of the next iteration
   double base = 0;
   Result result;
   std::vector<TopKEntry> top;
@@ -440,6 +304,16 @@ struct PrState {
 
 PrState* pr_state(sched::NodeCtx& nctx) {
   return static_cast<PrState*>(nctx.state);
+}
+
+/// Reduce the dangling mass the next iteration's update needs. Run at
+/// the end of the previous node's consume hook: outside the next
+/// iteration's map phase, and replayed when a recovery resume restores
+/// the previous node instead of re-running it.
+void reduce_dangling(sched::NodeCtx& nctx) {
+  PrState* st = pr_state(nctx);
+  st->dangling =
+      nctx.exec.comm.allreduce_f64(st->dangling_local, simmpi::Op::kSum);
 }
 
 }  // namespace
@@ -455,7 +329,15 @@ SchedRun make_sched(const RunOptions& opts, int nranks, int top_k) {
   cfg.hint = hint_for(opts.hint);
   cfg.kv_compression = opts.cps;
   cfg.overlap = opts.overlap;
+  // Balance applies to the per-iteration contribution shuffles, where
+  // high-in-degree vertices concentrate received bytes. The merge pass
+  // re-homes planned keys, so the owner_of() placement the consume side
+  // relies on is preserved.
   cfg.balance.enabled = opts.balance;
+  // The partition job routes each directed edge to its source's owner.
+  // Compression is off there (adjacency needs every edge), and so is
+  // balance: the edge list is shuffled exactly once, so a merge pass
+  // could only add cost.
   mimir::JobConfig partition_cfg = cfg;
   partition_cfg.kv_compression = false;
   partition_cfg.balance.enabled = false;
@@ -479,17 +361,25 @@ SchedRun make_sched(const RunOptions& opts, int nranks, int top_k) {
   partition.consume = [opts, n](sched::NodeCtx& nctx,
                                 mimir::KVContainer& out) {
     PrState* st = pr_state(nctx);
-    st->out_edges.build([&](const auto& fn) { out.scan(fn); });
+    st->out_edges.emplace(nctx.exec.tracker);
+    {
+      // No node reads the edges after this hook: free them before the
+      // rank map is charged.
+      mimir::KVContainer edges = std::move(out);
+      st->out_edges->build([&](const auto& fn) { edges.scan(fn); });
+    }
     st->owned = owned_vertices(n, nctx.exec.rank(), nctx.exec.size());
     nctx.exec.tracker.allocate(st->owned.size() * 8);
+    st->ranks.emplace(nctx.exec.tracker);
     st->dangling_local = 0;
     for (const std::uint64_t v : st->owned) {
-      st->ranks.put(v, 1.0 / static_cast<double>(n));
-      if (st->out_edges.degree_of(v) == 0) {
+      st->ranks->put(v, 1.0 / static_cast<double>(n));
+      if (st->out_edges->degree_of(v) == 0) {
         st->dangling_local += 1.0 / static_cast<double>(n);
       }
     }
     st->base = (1.0 - opts.damping) / static_cast<double>(n);
+    if (opts.iterations > 0) reduce_dangling(nctx);
   };
   int prev = run.graph.add(std::move(partition));
 
@@ -499,41 +389,38 @@ SchedRun make_sched(const RunOptions& opts, int nranks, int top_k) {
     step.config = cfg;
     step.producer = [](sched::NodeCtx& nctx, mimir::Emitter& out) {
       PrState* st = pr_state(nctx);
-      st->dangling = nctx.exec.comm.allreduce_f64(st->dangling_local,
-                                                  simmpi::Op::kSum);
       for (const std::uint64_t v : st->owned) {
-        const auto neighbors = st->out_edges.neighbors_of(v);
+        const auto neighbors = st->out_edges->neighbors_of(v);
         if (neighbors.empty()) continue;
-        const double share = st->ranks.find(v).value_or(0.0) /
+        const double share = st->ranks->find(v).value_or(0.0) /
                              static_cast<double>(neighbors.size());
         for (const std::uint64_t t : neighbors) {
           out.emit(id_view(t), mimir::as_view(share));
         }
       }
     };
+    // Handed over when balance is on too (unused during the map without
+    // cps): the merge pass sums each split rank's share of a hot vertex
+    // locally before re-homing it.
     step.combiner = opts.cps || opts.balance
                         ? mimir::CombineFn(combine_sum)
                         : mimir::CombineFn{};
     step.partial = combine_sum;
-    step.consume = [opts, n](sched::NodeCtx& nctx, mimir::KVContainer& out) {
+    const bool last = it + 1 == opts.iterations;
+    step.consume = [opts, n, last](sched::NodeCtx& nctx,
+                                   mimir::KVContainer& out) {
       PrState* st = pr_state(nctx);
-      if (nctx.resumed) {
-        // The producer (which normally reduces the dangling mass right
-        // before emitting) was skipped; recompute it from the rebuilt
-        // per-rank state so apply_update below sees the right value.
-        st->dangling = nctx.exec.comm.allreduce_f64(st->dangling_local,
-                                                    simmpi::Op::kSum);
-      }
       VertexMap<double> contributions(nctx.exec.tracker);
       out.scan([&](const mimir::KVView& kv) {
         contributions.put(mimir::as_u64(kv.key), mimir::as_f64(kv.value));
       });
       const double local_delta = apply_update(
-          st->owned, contributions, st->out_edges,
+          st->owned, contributions, *st->out_edges,
           st->dangling / static_cast<double>(n), st->base, opts.damping,
-          st->ranks, &st->dangling_local);
+          *st->ranks, &st->dangling_local);
       st->result.last_delta =
           nctx.exec.comm.allreduce_f64(local_delta, simmpi::Op::kSum);
+      if (!last) reduce_dangling(nctx);
     };
     const int id = run.graph.add(std::move(step));
     run.graph.add_order(prev, id);
@@ -560,8 +447,8 @@ SchedRun make_sched(const RunOptions& opts, int nranks, int top_k) {
     run.graph.add_edge(prev, run.graph.add(std::move(topk)));
   }
 
-  run.options.make_state = [](simmpi::Context& ctx) {
-    return std::static_pointer_cast<void>(std::make_shared<PrState>(ctx));
+  run.options.make_state = [](simmpi::Context&) {
+    return std::static_pointer_cast<void>(std::make_shared<PrState>());
   };
   auto results = run.results;
   auto tops = run.tops;
@@ -569,7 +456,7 @@ SchedRun make_sched(const RunOptions& opts, int nranks, int top_k) {
     PrState* st = pr_state(nctx);
     double local_total = 0, local_max = 0;
     std::uint64_t local_argmax = 0;
-    st->ranks.for_each([&](std::uint64_t v, double r) {
+    st->ranks->for_each([&](std::uint64_t v, double r) {
       local_total += r;
       if (r > local_max) {
         local_max = r;
@@ -590,13 +477,10 @@ SchedRun make_sched(const RunOptions& opts, int nranks, int top_k) {
   return run;
 }
 
-Result run_sched(int nranks, const simtime::MachineProfile& machine,
-                 pfs::FileSystem& fs, const RunOptions& opts, int top_k,
-                 std::vector<std::vector<TopKEntry>>* tops) {
-  SchedRun run = make_sched(opts, nranks, top_k);
-  sched::run_graph(nranks, machine, fs, run.graph, run.options);
-  if (tops != nullptr) *tops = *run.tops;
-  return run.results->front();
+Result run_mimir(simmpi::Context& ctx, const RunOptions& opts) {
+  SchedRun run = make_sched(opts, ctx.size());
+  sched::run_in(ctx, run.graph, run.options);
+  return (*run.results)[static_cast<std::size_t>(ctx.rank())];
 }
 
 }  // namespace apps::pr

@@ -346,8 +346,13 @@ class SharedRegion {
 
 /// Typed cross-rank shared variable. Every access goes through a
 /// checked accessor; with no race-checked job bound the accessors are
-/// plain reads/writes. The wrapped value itself is NOT synchronized —
-/// Shared<T> detects missing happens-before edges, it does not add any.
+/// plain reads/writes. Writes store under a host mutex, so two ranks
+/// that write without a simmpi edge between them race only in the
+/// simulation: the detector reports it, and the C++ stays free of data
+/// races. The mutex is not a simmpi edge — Shared<T> detects missing
+/// happens-before edges, it does not add any. Reads take no lock; a
+/// read that no simmpi edge orders after a write is a race the
+/// detector reports and the caller must fix.
 template <typename T>
 class Shared {
  public:
@@ -364,6 +369,7 @@ class Shared {
   /// Checked write.
   void write(T value) {
     region_.note_write();
+    const std::lock_guard<std::mutex> lock(write_mutex_);
     value_ = std::move(value);
   }
 
@@ -371,6 +377,7 @@ class Shared {
   template <typename Fn>
   void update(Fn&& fn) {
     region_.note_write();
+    const std::lock_guard<std::mutex> lock(write_mutex_);
     fn(value_);
   }
 
@@ -381,6 +388,7 @@ class Shared {
 
  private:
   SharedRegion region_;
+  std::mutex write_mutex_;
   T value_;
 };
 

@@ -26,8 +26,8 @@
 //     ladder (halving ooc_live_bytes, floor one page) until its
 //     projected resident footprint fits;
 //   * with max_concurrency 1 (the default) or a single component, the
-//     whole graph runs sequentially on the full world — bit-identical
-//     to the manual loop it replaces.
+//     whole graph runs sequentially on the full world, one job after
+//     another, with no scheduler collective between them.
 //
 // Container ownership: each produced output is held by the executor
 // with a reference count equal to its unconsumed data consumers. A
@@ -64,13 +64,6 @@ struct NodeCtx {
   int world_rank = 0;
   int world_size = 0;
   void* state = nullptr;
-  /// True when this node's output was restored from its checkpoint
-  /// instead of re-running the job (recovery resume). Consume hooks
-  /// whose state rebuild needs values the skipped producer would have
-  /// computed (e.g. a pre-job allreduce) recompute them under this
-  /// flag — every rank of the group sees the same value, so added
-  /// collectives stay aligned.
-  bool resumed = false;
 };
 
 /// Custom KV source for a node's map phase (in-situ producers,
@@ -86,14 +79,9 @@ using KvMapFn = std::function<void(NodeCtx&, std::string_view key,
 
 /// Reads the node's output container (fresh, or reloaded from its
 /// checkpoint on a recovery resume) — the place to fold results into
-/// rank-local state. Must not modify the container; it may still feed
-/// downstream consumers.
+/// rank-local state. Must not modify a container that feeds downstream
+/// consumers; a node with none may move it out to free it early.
 using ConsumeFn = std::function<void(NodeCtx&, mimir::KVContainer&)>;
-
-/// Deterministic dynamic skip (must return the same value on every
-/// rank of the group): a skipped node produces an empty output and
-/// runs neither its job nor its consume hook.
-using SkipFn = std::function<bool(NodeCtx&)>;
 
 /// One MapReduce job in the graph. The map phase feeds data-edge
 /// inputs through `kv_map` and then calls `producer`; the finish phase
@@ -111,7 +99,6 @@ struct JobNode {
   mimir::ReduceFn reduce;
   mimir::CombineFn partial;
   ConsumeFn consume;
-  SkipFn skip;
 };
 
 /// The job DAG. Node ids are dense, in insertion order.

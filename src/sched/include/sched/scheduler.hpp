@@ -15,7 +15,8 @@
 // are classified, backed off and reported by the shared attempt loop
 // (mimir::run_attempts; analyzer and counter prefix "sched"); its OOM
 // hook is mimir::oom_ladder, capping the live-bytes budget graph-wide.
-// run_graph is the same execution as a single attempt with no retry.
+// run_graph is the same execution as a single attempt with no retry;
+// run_in runs that attempt on a context the caller already holds.
 #pragma once
 
 #include <cstdint>
@@ -60,6 +61,12 @@ GraphOutcome run_graph(int nranks, const simtime::MachineProfile& machine,
                        const GraphOptions& options = {},
                        stats::Collector* collector = nullptr,
                        check::JobChecker* checker = nullptr);
+
+/// run_graph's single attempt on the caller's context: every rank of
+/// `ctx` calls it, e.g. inside the caller's own simmpi::run. It adds no
+/// sched.* counters and no critical path (those are run_graph's).
+void run_in(simmpi::Context& ctx, const Graph& graph,
+            const GraphOptions& options = {});
 
 /// Execute `graph` under the recovery policy: per-node checkpoints are
 /// forced on (prefix = policy.checkpoint) and each retry resumes every

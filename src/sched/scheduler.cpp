@@ -27,7 +27,7 @@ struct ExecControl {
   /// force off/on); mirrors GraphOptions::balance.
   int balance = -1;
   /// Per node id: the last attempt that restored it from its checkpoint
-  /// (0 = none).
+  /// (0 = none). Null under run_in, which runs attempt 1 only.
   std::vector<std::atomic<int>>* resumed_at = nullptr;
 };
 
@@ -84,7 +84,6 @@ void run_group(simmpi::Context& exec, simmpi::Context& world,
     for (const int in : ins) {
       check::race_handoff_acquire(handoff_key(in, world.rank()));
     }
-    bool skipped = false;
     std::optional<mimir::KVContainer> out;
 
     if (ctl.checkpoint && attempt.number > 1 &&
@@ -94,7 +93,6 @@ void run_group(simmpi::Context& exec, simmpi::Context& world,
       // consume hook, no data consumers).
       (*ctl.resumed_at)[static_cast<std::size_t>(id)].store(
           attempt.number, std::memory_order_relaxed);
-      nctx.resumed = true;
       if (node.consume || graph.data_consumers(id) > 0) {
         // Restored handoff containers are scheduler-owned, not part of
         // any single job — attribute their pages to the handoff.
@@ -102,11 +100,6 @@ void run_group(simmpi::Context& exec, simmpi::Context& world,
                                      memtrack::TagScope::Mode::kFallback);
         out.emplace(mimir::load_container(exec, ckpt, cfg.page_size));
       }
-    } else if (node.skip && node.skip(nctx)) {
-      skipped = true;
-      const memtrack::TagScope tag("sched.handoff");
-      out.emplace(exec.tracker, cfg.page_size,
-                  cfg.output_hint.value_or(cfg.hint));
     } else {
       mimir::Job job(exec, cfg);
       const auto feed = [&](std::string_view key, std::string_view value,
@@ -174,7 +167,7 @@ void run_group(simmpi::Context& exec, simmpi::Context& world,
       }
     }
 
-    if (node.consume && !skipped && out.has_value()) {
+    if (node.consume && out.has_value()) {
       node.consume(nctx, *out);
     }
     if (graph.data_consumers(id) > 0) {
@@ -249,23 +242,6 @@ void run_rank(simmpi::Context& world, const Graph& graph, const Plan& plan,
     }
     world.comm.barrier();
   }
-
-  if (stats::Registry* reg = stats::current()) {
-    std::uint64_t my_resumed = 0;
-    for (const auto& at : *ctl.resumed_at) {
-      if (at.load(std::memory_order_relaxed) == attempt.number) ++my_resumed;
-    }
-    reg->add("sched.jobs", static_cast<std::uint64_t>(graph.size()));
-    reg->add("sched.admitted",
-             static_cast<std::uint64_t>(graph.size() - plan.queued_nodes));
-    reg->add("sched.queued",
-             static_cast<std::uint64_t>(plan.queued_nodes));
-    reg->add("sched.degraded",
-             static_cast<std::uint64_t>(plan.degraded_nodes));
-    reg->add("sched.waves",
-             static_cast<std::uint64_t>(plan.waves.size()));
-    reg->add("sched.resumed_nodes", my_resumed);
-  }
 }
 
 /// Plan `graph` and run it through the attempt loop: everything
@@ -303,6 +279,21 @@ GraphOutcome execute(int nranks, const simtime::MachineProfile& machine,
   loop.on_oom = mimir::oom_ladder(policy, machine, max_page, out);
   loop.body = [&](simmpi::Context& ctx, const mimir::Attempt& attempt) {
     run_rank(ctx, graph, out.plan, options, ctl, attempt);
+    stats::Registry* reg = stats::current();
+    if (reg == nullptr) return;
+    std::uint64_t my_resumed = 0;
+    for (const auto& at : resumed_at) {
+      if (at.load(std::memory_order_relaxed) == attempt.number) ++my_resumed;
+    }
+    const Plan& plan = out.plan;
+    reg->add("sched.jobs", static_cast<std::uint64_t>(graph.size()));
+    reg->add("sched.admitted",
+             static_cast<std::uint64_t>(graph.size() - plan.queued_nodes));
+    reg->add("sched.queued", static_cast<std::uint64_t>(plan.queued_nodes));
+    reg->add("sched.degraded",
+             static_cast<std::uint64_t>(plan.degraded_nodes));
+    reg->add("sched.waves", static_cast<std::uint64_t>(plan.waves.size()));
+    reg->add("sched.resumed_nodes", my_resumed);
   };
   static_cast<mimir::RetryOutcome&>(out) = mimir::run_attempts(
       nranks, machine, fs, loop, policy, fault_plan, collector, checker);
@@ -322,6 +313,17 @@ GraphOutcome execute(int nranks, const simtime::MachineProfile& machine,
 }
 
 }  // namespace
+
+void run_in(simmpi::Context& ctx, const Graph& graph,
+            const GraphOptions& options) {
+  ExecControl ctl;
+  ctl.checkpoint = options.checkpoint;
+  ctl.prefix = options.checkpoint_prefix;
+  ctl.keep_checkpoints = options.keep_checkpoints;
+  ctl.balance = options.balance;
+  run_rank(ctx, graph, plan_graph(graph, ctx.size(), ctx.machine, options),
+           options, ctl, mimir::Attempt{});
+}
 
 GraphOutcome run_graph(int nranks, const simtime::MachineProfile& machine,
                        pfs::FileSystem& fs, const Graph& graph,

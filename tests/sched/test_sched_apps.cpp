@@ -1,19 +1,21 @@
-// Iterative applications through the dataflow scheduler must be
-// bit-identical to the hand-rolled job loops they replace: same
-// results, same simulated clock (the cost-model charges and collective
-// sequence match exactly).
+// PageRank's Mimir driver is its job graph (apps::pr::make_sched), which
+// pr::run_mimir runs on the caller's context through sched::run_in. The
+// table below pins what the hand-written job loop it replaced charged:
+// simulated clock, shuffle volume, every rank's memory peak and every
+// rank's map-phase seconds and wait, recorded from that loop and
+// compared exactly.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <ostream>
 #include <string>
 #include <vector>
 
-#include "apps/bfs.hpp"
-#include "apps/kmeans.hpp"
 #include "apps/pagerank.hpp"
 #include "check/checker.hpp"
 #include "inject/fault.hpp"
-#include "mutil/error.hpp"
 #include "sched/scheduler.hpp"
+#include "stats/trace.hpp"
 
 namespace {
 
@@ -25,129 +27,188 @@ simtime::MachineProfile profile_with_io() {
   return machine;
 }
 
-// --- pagerank + top-k ----------------------------------------------------
+constexpr int kRanks = 4;
 
-struct AppCase {
+struct PinCase {
+  const char* name;
+  bool comet;  ///< comet_sim with 4 ranks per node, else test_profile
+  int scale;
+  int edge_factor;
+  int iterations;
+  std::uint64_t page_size;
+  std::uint64_t comm_buffer;
   bool hint;
   bool cps;
-  int ranks;
-  const char* name;
+  bool overlap;
+  bool balance;
+  // What the loop charged:
+  double sim_time;
+  std::uint64_t shuffle_bytes;
+  std::uint64_t rank_peak[kRanks];
+  double map_seconds[kRanks];
+  double map_wait[kRanks];
 };
 
-apps::pr::RunOptions pr_options(const AppCase& c) {
+// gtest would print the case's raw bytes, pointer included, into the
+// ctest name; print its name instead.
+void PrintTo(const PinCase& c, std::ostream* os) { *os << c.name; }
+
+// The first six are ablation_overlap's and ablation_balance's settings
+// on the Kronecker graph; the last is a larger graph with hint and cps.
+constexpr PinCase kPinCases[] = {
+    {"plain", true, 10, 8, 3, 64 << 10, 8 << 10, false, false, false, false,
+     2.7711771428563177,
+     786432,
+     {196072, 197640, 196248, 270200},
+     {2.4111411428567013, 2.4111411428567013, 2.4111411428567013,
+      2.4111411428567013},
+     {0.83206285714267847, 0.77642571428556462, 0.88244571428553509,
+      0.033111428571407329}},
+    {"plain_hint_cps", true, 10, 8, 3, 64 << 10, 8 << 10, true, true, false,
+     false,
+     1.1409571428569578,
+     214688,
+     {196072, 197640, 196248, 221048},
+     {1.0642411428569032, 1.0642411428569032, 1.0642411428569032,
+      1.0642411428569032},
+     {0.3096571428570471, 0.26833428571420814, 0.29953428571418944,
+      0.006119999999998323}},
+    {"overlap", true, 10, 8, 3, 64 << 10, 8 << 10, false, false, true, false,
+     2.1801411428568365,
+     786432,
+     {196072, 197640, 196248, 270200},
+     {1.7763908571428304, 1.7756451428571165, 1.7723537142856873,
+      1.8178337142856875},
+     {0.89613085714305019, 0.85860514285736445, 0.92593371428590499,
+      0.52939371428606996}},
+    {"overlap_hint_cps", true, 10, 8, 3, 64 << 10, 8 << 10, true, true, true,
+     false,
+     1.0630668571426698,
+     214688,
+     {196072, 197640, 196248, 204664},
+     {0.97825942857118675, 0.98289942857118673, 0.97626514285690091,
+      0.98914514285690103},
+     {0.41301942857132495, 0.3798794285713411, 0.407245142857039,
+      0.17842514285713534}},
+    {"balance", true, 10, 8, 3, 64 << 10, 8 << 10, false, false, false, true,
+     3.1177937142845131,
+     832416,
+     {294376, 295944, 294552, 302968},
+     {2.9282777142849405, 2.9282777142849405, 2.9282777142849405,
+      2.9282777142849405},
+     {0.64941428571408732, 0.66777428571412645, 0.76957714285693779,
+      0.14437714285713008}},
+    {"balance_hint_cps", true, 10, 8, 3, 64 << 10, 8 << 10, true, true, false,
+     true,
+     1.5894811428568845,
+     256856,
+     {294376, 295944, 294552, 302968},
+     {1.5170851428568346, 1.5170851428568346, 1.5170851428568346,
+      1.5170851428568346},
+     {0.3187942857141845, 0.40956571428563315, 0.43425999999990367,
+      0.14740285714285226}},
+    {"kron12_hint_cps", false, 12, 16, 5, 32 << 10, 32 << 10, true, true,
+     false, false,
+     4.3047759999858944e-06,
+     1701616,
+     {421752, 421680, 508208, 614440},
+     {4.078215999986587e-06, 4.078215999986587e-06, 4.078215999986587e-06,
+      4.078215999986587e-06},
+     {1.1987359999944284e-06, 1.2013199999944244e-06,
+      8.1735199999632658e-07, 1.6304000000013088e-08}},
+};
+
+class SchedPageRank : public ::testing::TestWithParam<PinCase> {};
+
+TEST_P(SchedPageRank, RunMimirChargesWhatTheLoopCharged) {
+  const PinCase& c = GetParam();
+  auto machine = c.comet ? simtime::MachineProfile::comet_sim()
+                         : simtime::MachineProfile::test_profile();
+  if (c.comet) machine.ranks_per_node = kRanks;
+  apps::pr::RunOptions opts;
+  opts.scale = c.scale;
+  opts.edge_factor = c.edge_factor;
+  opts.iterations = c.iterations;
+  opts.page_size = c.page_size;
+  opts.comm_buffer = c.comm_buffer;
+  opts.hint = c.hint;
+  opts.cps = c.cps;
+  opts.overlap = c.overlap;
+  opts.balance = c.balance;
+
+  pfs::FileSystem fs(machine, kRanks);
+  stats::Collector collector;
+  std::vector<std::uint64_t> peaks(kRanks);
+  const simmpi::JobStats stats = simmpi::run(
+      kRanks, machine, fs,
+      [&](simmpi::Context& ctx) {
+        (void)apps::pr::run_mimir(ctx, opts);
+        peaks[static_cast<std::size_t>(ctx.rank())] = ctx.tracker.peak();
+      },
+      &collector);
+
+  EXPECT_EQ(stats.sim_time, c.sim_time);
+  EXPECT_EQ(stats.shuffle_bytes, c.shuffle_bytes);
+  for (int rank = 0; rank < kRanks; ++rank) {
+    double map_seconds = 0;
+    double map_wait = 0;
+    for (const stats::PhaseRecord& phase : collector.rank(rank).phases()) {
+      if (phase.name != "map") continue;
+      map_seconds += phase.seconds();
+      map_wait += phase.wait;
+    }
+    EXPECT_EQ(peaks[static_cast<std::size_t>(rank)], c.rank_peak[rank])
+        << "rank " << rank;
+    EXPECT_EQ(map_seconds, c.map_seconds[rank]) << "rank " << rank;
+    EXPECT_EQ(map_wait, c.map_wait[rank]) << "rank " << rank;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Pins, SchedPageRank, ::testing::ValuesIn(kPinCases),
+    [](const auto& param_info) { return std::string(param_info.param.name); });
+
+TEST(SchedPageRank, MidGraphNodeCrashResumesAndMatchesManual) {
   apps::pr::RunOptions opts;
   opts.scale = 7;
   opts.edge_factor = 8;
   opts.iterations = 5;
   opts.page_size = 32 << 10;
   opts.comm_buffer = 32 << 10;
-  opts.hint = c.hint;
-  opts.cps = c.cps;
-  return opts;
-}
-
-class SchedPageRank : public ::testing::TestWithParam<AppCase> {};
-
-TEST_P(SchedPageRank, BitIdenticalToManualLoopIncludingTopK) {
-  const AppCase c = GetParam();
-  const apps::pr::RunOptions opts = pr_options(c);
-  constexpr int kTopK = 5;
-  const auto machine = simtime::MachineProfile::test_profile();
-
-  // Manual sequential baseline: the iteration loop plus the downstream
-  // top-k job, run per rank inside one simmpi::run.
-  std::vector<apps::pr::Result> manual(
-      static_cast<std::size_t>(c.ranks));
-  std::vector<std::vector<apps::pr::TopKEntry>> manual_tops(
-      static_cast<std::size_t>(c.ranks));
-  pfs::FileSystem manual_fs(machine, c.ranks);
-  const simmpi::JobStats manual_stats = simmpi::run(
-      c.ranks, machine, manual_fs, [&](simmpi::Context& ctx) {
-        manual[static_cast<std::size_t>(ctx.rank())] =
-            apps::pr::run_mimir_topk(
-                ctx, opts, kTopK,
-                &manual_tops[static_cast<std::size_t>(ctx.rank())]);
-      });
-
-  auto run = apps::pr::make_sched(opts, c.ranks, kTopK);
-  ASSERT_GE(run.graph.size(), 3)
-      << "partition + iterations + top-k is at least a 3-node DAG";
-  pfs::FileSystem sched_fs(machine, c.ranks);
-  const auto outcome = sched::run_graph(c.ranks, machine, sched_fs,
-                                        run.graph, run.options);
-
-  EXPECT_EQ(outcome.stats.sim_time, manual_stats.sim_time)
-      << "scheduler must charge the exact same simulated clock";
-  for (int rank = 0; rank < c.ranks; ++rank) {
-    const auto& got = (*run.results)[static_cast<std::size_t>(rank)];
-    const auto& want = manual[static_cast<std::size_t>(rank)];
-    EXPECT_EQ(got.total_rank, want.total_rank) << "rank " << rank;
-    EXPECT_EQ(got.max_rank, want.max_rank) << "rank " << rank;
-    EXPECT_EQ(got.max_vertex, want.max_vertex) << "rank " << rank;
-    EXPECT_EQ(got.last_delta, want.last_delta) << "rank " << rank;
-    EXPECT_EQ((*run.tops)[static_cast<std::size_t>(rank)],
-              manual_tops[static_cast<std::size_t>(rank)])
-        << "rank " << rank;
-  }
-}
-
-// gtest prints a case's raw bytes into its ctest name; a static table has
-// zeroed padding, so the name is the same in every build (temporaries in
-// Values() would leave stack garbage there).
-constexpr AppCase kPageRankCases[] = {
-    {false, false, 1, "serial"},
-    {false, false, 4, "base"},
-    {true, false, 4, "hint"},
-    {true, true, 4, "hint_cps"},
-};
-
-INSTANTIATE_TEST_SUITE_P(
-    Paths, SchedPageRank, ::testing::ValuesIn(kPageRankCases),
-    [](const auto& param_info) { return std::string(param_info.param.name); });
-
-TEST(SchedPageRank, MidGraphNodeCrashResumesAndMatchesManual) {
-  AppCase c{true, true, 4, "recovery"};
-  const apps::pr::RunOptions opts = pr_options(c);
+  opts.hint = true;
+  opts.cps = true;
   constexpr int kTopK = 5;
   auto machine = profile_with_io();
   machine.ranks_per_node = 2;
 
-  // Fault-free manual baseline, and its wall clock so the node crash
-  // can be aimed at the middle of the graph via a time trigger.
-  std::vector<apps::pr::Result> manual(
-      static_cast<std::size_t>(c.ranks));
-  std::vector<std::vector<apps::pr::TopKEntry>> manual_tops(
-      static_cast<std::size_t>(c.ranks));
-  pfs::FileSystem manual_fs(machine, c.ranks);
-  const simmpi::JobStats manual_stats = simmpi::run(
-      c.ranks, machine, manual_fs, [&](simmpi::Context& ctx) {
-        manual[static_cast<std::size_t>(ctx.rank())] =
-            apps::pr::run_mimir_topk(
-                ctx, opts, kTopK,
-                &manual_tops[static_cast<std::size_t>(ctx.rank())]);
-      });
-  ASSERT_GT(manual_stats.sim_time, 0.0);
+  // Fault-free baseline: the same graph through run_graph.
+  auto baseline = apps::pr::make_sched(opts, kRanks, kTopK);
+  ASSERT_GE(baseline.graph.size(), 3)
+      << "partition + iterations + top-k is at least a 3-node DAG";
+  pfs::FileSystem baseline_fs(machine, kRanks);
+  (void)sched::run_graph(kRanks, machine, baseline_fs, baseline.graph,
+                         baseline.options);
 
   // Aim the crash at the midpoint of the *checkpointed* graph run (the
-  // checkpoint I/O slows the simulated clock, so the manual loop's wall
-  // time would land too early — before the first commit).
+  // checkpoint I/O slows the simulated clock, so the plain run's time
+  // would land too early — before the first commit).
   double fault_free_time = 0.0;
   {
-    auto probe = apps::pr::make_sched(opts, c.ranks, kTopK);
-    pfs::FileSystem probe_fs(machine, c.ranks);
+    auto probe = apps::pr::make_sched(opts, kRanks, kTopK);
+    pfs::FileSystem probe_fs(machine, kRanks);
     fault_free_time = sched::run_graph_with_recovery(
-                          c.ranks, machine, probe_fs, probe.graph,
+                          kRanks, machine, probe_fs, probe.graph,
                           probe.options, {})
                           .stats.sim_time;
   }
   const inject::FaultPlan plan = inject::FaultPlan::parse(
       "node_crash:1@" + std::to_string(fault_free_time / 2));
-  auto run = apps::pr::make_sched(opts, c.ranks, kTopK);
-  pfs::FileSystem fs(machine, c.ranks);
+  auto run = apps::pr::make_sched(opts, kRanks, kTopK);
+  pfs::FileSystem fs(machine, kRanks);
   check::Report report;
   check::JobChecker checker(report);
   const auto outcome = sched::run_graph_with_recovery(
-      c.ranks, machine, fs, run.graph, run.options, {}, &plan, nullptr,
+      kRanks, machine, fs, run.graph, run.options, {}, &plan, nullptr,
       &checker);
 
   EXPECT_EQ(outcome.attempts, 2);
@@ -158,147 +219,18 @@ TEST(SchedPageRank, MidGraphNodeCrashResumesAndMatchesManual) {
   const int failed = outcome.history[0].failed_rank;
   EXPECT_TRUE(failed == 2 || failed == 3)
       << "node 1 hosts ranks 2 and 3, got " << failed;
-  // Results match the manual run exactly; sim_time is NOT compared —
+  // Results match the fault-free run exactly; sim_time is NOT compared —
   // checkpoint I/O and the retry legitimately change the clock.
-  for (int rank = 0; rank < c.ranks; ++rank) {
-    const auto& got = (*run.results)[static_cast<std::size_t>(rank)];
-    const auto& want = manual[static_cast<std::size_t>(rank)];
+  for (int rank = 0; rank < kRanks; ++rank) {
+    const auto r = static_cast<std::size_t>(rank);
+    const auto& got = (*run.results)[r];
+    const auto& want = (*baseline.results)[r];
     EXPECT_EQ(got.total_rank, want.total_rank) << "rank " << rank;
     EXPECT_EQ(got.max_rank, want.max_rank) << "rank " << rank;
     EXPECT_EQ(got.max_vertex, want.max_vertex) << "rank " << rank;
     EXPECT_EQ(got.last_delta, want.last_delta) << "rank " << rank;
-    EXPECT_EQ((*run.tops)[static_cast<std::size_t>(rank)],
-              manual_tops[static_cast<std::size_t>(rank)])
-        << "rank " << rank;
+    EXPECT_EQ((*run.tops)[r], (*baseline.tops)[r]) << "rank " << rank;
   }
 }
-
-// --- BFS -----------------------------------------------------------------
-
-class SchedBfs : public ::testing::TestWithParam<AppCase> {};
-
-TEST_P(SchedBfs, BitIdenticalToManualLoop) {
-  const AppCase c = GetParam();
-  apps::bfs::RunOptions opts;
-  opts.scale = 7;
-  opts.edge_factor = 8;
-  opts.page_size = 32 << 10;
-  opts.comm_buffer = 32 << 10;
-  opts.hint = c.hint;
-  opts.cps = c.cps;
-  const auto machine = simtime::MachineProfile::test_profile();
-
-  std::vector<apps::bfs::Result> manual(
-      static_cast<std::size_t>(c.ranks));
-  pfs::FileSystem manual_fs(machine, c.ranks);
-  const simmpi::JobStats manual_stats = simmpi::run(
-      c.ranks, machine, manual_fs, [&](simmpi::Context& ctx) {
-        manual[static_cast<std::size_t>(ctx.rank())] =
-            apps::bfs::run_mimir(ctx, opts);
-      });
-
-  auto run = apps::bfs::make_sched(opts, c.ranks);
-  pfs::FileSystem sched_fs(machine, c.ranks);
-  const auto outcome = sched::run_graph(c.ranks, machine, sched_fs,
-                                        run.graph, run.options);
-
-  EXPECT_EQ(outcome.stats.sim_time, manual_stats.sim_time);
-  for (int rank = 0; rank < c.ranks; ++rank) {
-    const auto& got = (*run.results)[static_cast<std::size_t>(rank)];
-    const auto& want = manual[static_cast<std::size_t>(rank)];
-    EXPECT_EQ(got.visited, want.visited) << "rank " << rank;
-    EXPECT_EQ(got.levels, want.levels) << "rank " << rank;
-    EXPECT_EQ(got.checksum, want.checksum) << "rank " << rank;
-  }
-}
-
-constexpr AppCase kBfsCases[] = {
-    {false, false, 1, "serial"},
-    {false, false, 4, "base"},
-    {true, false, 4, "hint"},
-    {true, true, 4, "hint_cps"},
-};
-
-INSTANTIATE_TEST_SUITE_P(
-    Paths, SchedBfs, ::testing::ValuesIn(kBfsCases),
-    [](const auto& param_info) { return std::string(param_info.param.name); });
-
-TEST(SchedBfs, TooFewLevelsIsAUsageError) {
-  apps::bfs::RunOptions opts;
-  opts.scale = 7;
-  opts.edge_factor = 8;
-  opts.sched_max_levels = 1;  // the graph is deeper than one level
-  const auto machine = simtime::MachineProfile::test_profile();
-  auto run = apps::bfs::make_sched(opts, 2);
-  pfs::FileSystem fs(machine, 2);
-  EXPECT_THROW(
-      (void)sched::run_graph(2, machine, fs, run.graph, run.options),
-      mutil::UsageError);
-}
-
-// --- k-means -------------------------------------------------------------
-
-struct KmCase {
-  bool hint;
-  bool pr;
-  bool cps;
-  int ranks;
-  const char* name;
-};
-
-class SchedKmeans : public ::testing::TestWithParam<KmCase> {};
-
-TEST_P(SchedKmeans, BitIdenticalToManualLoop) {
-  const KmCase c = GetParam();
-  apps::km::RunOptions opts;
-  opts.num_points = 1 << 11;
-  opts.iterations = 4;
-  opts.page_size = 32 << 10;
-  opts.comm_buffer = 32 << 10;
-  opts.hint = c.hint;
-  opts.pr = c.pr;
-  opts.cps = c.cps;
-  const auto machine = simtime::MachineProfile::test_profile();
-
-  std::vector<apps::km::Result> manual(
-      static_cast<std::size_t>(c.ranks));
-  pfs::FileSystem manual_fs(machine, c.ranks);
-  const simmpi::JobStats manual_stats = simmpi::run(
-      c.ranks, machine, manual_fs, [&](simmpi::Context& ctx) {
-        manual[static_cast<std::size_t>(ctx.rank())] =
-            apps::km::run_mimir(ctx, opts);
-      });
-
-  auto run = apps::km::make_sched(opts, c.ranks);
-  pfs::FileSystem sched_fs(machine, c.ranks);
-  const auto outcome = sched::run_graph(c.ranks, machine, sched_fs,
-                                        run.graph, run.options);
-
-  EXPECT_EQ(outcome.stats.sim_time, manual_stats.sim_time);
-  for (int rank = 0; rank < c.ranks; ++rank) {
-    const auto& got = (*run.results)[static_cast<std::size_t>(rank)];
-    const auto& want = manual[static_cast<std::size_t>(rank)];
-    ASSERT_EQ(got.centroids.size(), want.centroids.size());
-    for (std::size_t k = 0; k < want.centroids.size(); ++k) {
-      EXPECT_EQ(got.centroids[k].x, want.centroids[k].x);
-      EXPECT_EQ(got.centroids[k].y, want.centroids[k].y);
-      EXPECT_EQ(got.centroids[k].z, want.centroids[k].z);
-    }
-    EXPECT_EQ(got.counts, want.counts) << "rank " << rank;
-    EXPECT_EQ(got.inertia, want.inertia) << "rank " << rank;
-    EXPECT_EQ(got.last_shift, want.last_shift) << "rank " << rank;
-  }
-}
-
-constexpr KmCase kKmeansCases[] = {
-    {true, true, false, 1, "serial"},
-    {true, true, false, 4, "hint_pr"},
-    {false, false, false, 4, "base_reduce"},
-    {true, true, true, 4, "hint_pr_cps"},
-};
-
-INSTANTIATE_TEST_SUITE_P(
-    Paths, SchedKmeans, ::testing::ValuesIn(kKmeansCases),
-    [](const auto& param_info) { return std::string(param_info.param.name); });
 
 }  // namespace

@@ -279,37 +279,6 @@ TEST(SchedExec, FanOutScansForAllButTheLastReader) {
   EXPECT_EQ(seen->load(), 100u) << "both consumers see all 50 KVs";
 }
 
-TEST(SchedExec, SkippedNodePropagatesEmptyOutput) {
-  Graph g;
-  JobNode produce;
-  produce.producer = [](NodeCtx& nctx, mimir::Emitter& out) {
-    if (nctx.exec.rank() == 0) out.emit(u64_view(7), std::uint64_t{7});
-  };
-  JobNode skipper;
-  skipper.skip = [](NodeCtx&) { return true; };
-  auto skipped_kvs = std::make_shared<std::atomic<std::uint64_t>>(0);
-  skipper.kv_map = [skipped_kvs](NodeCtx&, std::string_view,
-                                 std::string_view, mimir::Emitter&) {
-    skipped_kvs->fetch_add(1);
-  };
-  auto sink_kvs = std::make_shared<std::atomic<std::uint64_t>>(0);
-  JobNode sink;
-  sink.consume = [sink_kvs](NodeCtx&, mimir::KVContainer& out) {
-    sink_kvs->fetch_add(out.num_kvs());
-  };
-  const int a = g.add(produce);
-  const int b = g.add(skipper);
-  const int c = g.add(sink);
-  g.add_edge(a, b);
-  g.add_edge(b, c);
-
-  const auto machine = profile_with_io();
-  pfs::FileSystem fs(machine, 2);
-  (void)sched::run_graph(2, machine, fs, g, {});
-  EXPECT_EQ(skipped_kvs->load(), 0u);
-  EXPECT_EQ(sink_kvs->load(), 0u) << "skipped node hands an empty container";
-}
-
 /// Two independent branches whose peak is dominated by an explicit
 /// tracker charge, for deterministic admission arithmetic.
 Graph two_allocating_branches(std::uint64_t bytes_per_rank,
