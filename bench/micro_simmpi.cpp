@@ -44,7 +44,7 @@ void BM_Alltoallv(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           20 * block * state.range(0) * state.range(0));
 }
-BENCHMARK(BM_Alltoallv)->Arg(2)->Arg(8)->Arg(16);
+BENCHMARK(BM_Alltoallv)->Arg(2)->Arg(8)->Arg(32);
 
 void BM_Allreduce(benchmark::State& state) {
   const int ranks = static_cast<int>(state.range(0));

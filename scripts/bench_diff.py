@@ -35,11 +35,13 @@ matched point the tool compares:
 --exact turns the gate for deterministic simulated numbers exact: at
 a relative tolerance of 1e-9 (the JSON prints about 12 significant
 digits) sim_time, shuffle_bytes and rank_peak must match in either
-direction, and so must seconds, wait_seconds and mem_peak of every
-phase the baseline point carries. A phase only the candidate has is
-listed but never fails the diff; a baseline phase or field the
-candidate lacks, or a field the baseline lacks, does. node_peak keeps
---mem-pct, because it follows the interleaving of the rank threads.
+direction, and so must seconds, wait_seconds, mem_peak,
+io_wait_seconds and io_hidden_seconds of every phase the baseline
+point carries; a phase field a document lacks counts as 0. A phase
+only the candidate has is listed but never fails the diff; a baseline
+phase the candidate lacks does, and so does a point field that only
+one of the two documents carries. node_peak keeps --mem-pct, because
+it follows the interleaving of the rank threads.
 
 A point whose status degrades (ok/spill -> oom/err) is always a
 regression; a baseline point missing from the candidate is too. New
@@ -68,7 +70,8 @@ import sys
 
 RUNNABLE = {"ok", "spill"}
 EXACT_REL = 1e-9
-EXACT_PHASE_FIELDS = ("seconds", "wait_seconds", "mem_peak")
+EXACT_PHASE_FIELDS = ("seconds", "wait_seconds", "mem_peak",
+                      "io_wait_seconds", "io_hidden_seconds")
 
 
 def load(path):
@@ -181,7 +184,8 @@ def main(argv=None):
     parser.add_argument("--exact", action="store_true",
                         help="compare sim_time, shuffle_bytes, rank_peak "
                              "and every baseline phase's seconds, "
-                             "wait_seconds and mem_peak exactly")
+                             "wait_seconds, mem_peak, io_wait_seconds and "
+                             "io_hidden_seconds exactly")
     parser.add_argument("--require", action="append", default=[],
                         metavar="NAME=VALUE",
                         help="assert candidate flags[NAME] == VALUE "

@@ -517,7 +517,7 @@ void nb_complete_locked(SharedState& s, NbOp& op) {
   double t = 0.0;
   for (const NbOp::Part& part : op.parts) t = std::max(t, part.clock);
   op.t_all = t;
-  op.complete = true;
+  op.complete.store(true, std::memory_order_release);
   s.cv.notify_all();
 }
 
@@ -640,9 +640,13 @@ void Communicator::nb_wait(Request& request) {
       throw mutil::CommError(
           "simmpi: wait on an unknown non-blocking request");
     }
+    // The entry stays put while the lock is dropped: only this rank's
+    // own wait can count the last `waited` and erase it.
     NbOp& op = it->second;
-    s.cv.wait(lock, [&] { return op.complete || s.aborted; });
-    if (!op.complete) s.throw_aborted_locked();
+    s.wait_released(lock, [&] {
+      return op.complete.load(std::memory_order_acquire);
+    });
+    if (!lock.owns_lock()) lock.lock();
     const NbOp::Part& part = op.parts[static_cast<std::size_t>(rank_)];
     alltoallv = op.kind == check::CollectiveOp::kIalltoallv;
     t_init = part.clock;

@@ -6,7 +6,12 @@
 // barrier_wait() calls on the shared generation barrier, so every
 // pre-entry-barrier slot write synchronizes-with every
 // post-entry-barrier slot read, and no rank writes its slot again until
-// after the exit barrier. The full happens-before argument — and the
+// after the exit barrier. A waiter leaves a barrier either through the
+// mutex (it parked on `cv` and re-acquired it) or, while spinning in
+// wait_released(), through an acquire load of `generation`, which the
+// last arrival stored with release semantics while holding the mutex
+// every arrival took; either edge orders every arrival's prior writes
+// before the waiter's reads. The full happens-before argument — and the
 // race detector (mimir-race) that checks user code against the same
 // discipline — lives in DESIGN.md, "Memory model & race detection".
 // The mimir-check fingerprints (check_fps) follow the slot discipline:
@@ -15,6 +20,7 @@
 // fence barrier, never touched again until after the exit barrier.
 #pragma once
 
+#include <atomic>
 #include <bit>
 #include <condition_variable>
 #include <map>
@@ -22,6 +28,7 @@
 #include <exception>
 #include <memory>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include "check/checker.hpp"
@@ -46,9 +53,11 @@ struct alignas(64) Slot {
 /// Keyed by the per-rank initiation counter: non-blocking collectives
 /// are collective in *initiation order*, so every rank's Nth initiate
 /// joins op N. Guarded by SharedState::mutex; completion (the last
-/// initiator copies all data while holding the lock) is signaled on
-/// SharedState::cv. Count/displacement arrays are copied in at initiate
-/// because the caller's vectors may die before the op completes.
+/// initiator copies all data while holding the lock, then stores
+/// `complete` with release semantics) releases the waiters through
+/// SharedState::wait_released. Count/displacement arrays are copied in
+/// at initiate because the caller's vectors may die before the op
+/// completes.
 struct NbOp {
   /// One rank's published arguments.
   struct Part {
@@ -68,7 +77,9 @@ struct NbOp {
   std::uint32_t red_op = 0;  ///< reduction operator (iallreduce)
   int arrived = 0;           ///< initiations so far
   int waited = 0;            ///< completed waits; erase at nranks
-  bool complete = false;
+  /// Set once, under SharedState::mutex, after every result is in
+  /// place; a spinning waiter reads it without the lock.
+  std::atomic<bool> complete{false};
   /// A rank dropped its Request before completion: its buffers may be
   /// gone, so the op never completes (peers unwind on the job abort).
   bool withdrawn = false;
@@ -102,12 +113,22 @@ struct SharedState {
   const double net_latency;
   const double net_bandwidth;
 
-  // Global generation barrier.
+  /// Iterations a waiter spins before it parks on `cv`, and how often
+  /// it yields its CPU while spinning. A barrier round on 2–8 ranks
+  /// mostly completes within the budget, so the waiter leaves without a
+  /// futex sleep and wake-up; an oversubscribed host still gets the CPU
+  /// back at every yield and parks waiters whose peers cannot run.
+  static constexpr int kSpinIterations = 4096;
+  static constexpr int kSpinYieldEvery = 64;
+
+  // Global generation barrier. `generation` and `aborted` change only
+  // while holding `mutex`; they are atomic so a spinning waiter can
+  // watch them without it.
   std::mutex mutex;
   std::condition_variable cv;
   int arrived = 0;
-  std::uint64_t generation = 0;
-  bool aborted = false;
+  std::atomic<std::uint64_t> generation{0};
+  std::atomic<bool> aborted{false};
   // When the abort cause was a rank death (mutil::RankFailedError),
   // peers unwinding out of collectives and waits rethrow a
   // RankFailedError naming the dead rank instead of a generic
@@ -123,10 +144,10 @@ struct SharedState {
   std::vector<Slot> slots;
 
   // In-flight non-blocking collectives, keyed by initiation count.
-  // Guarded by `mutex`; waiters sleep on `cv` (abort() already wakes
-  // it, so a rank blocked in Request::wait unwinds on job abort like
-  // any barrier waiter). A withdrawn op leaves its entry here until the
-  // job's SharedState dies.
+  // Guarded by `mutex`; waiters block in wait_released() like barrier
+  // waiters, so a rank blocked in Request::wait unwinds on job abort
+  // too. A withdrawn op leaves its entry here until the job's
+  // SharedState dies.
   std::map<std::uint64_t, NbOp> nb_ops;
 
   // mimir-check hooks. `checker` is null when checking is off (the
@@ -174,21 +195,45 @@ struct SharedState {
     throw mutil::CommError("simmpi: job aborted");
   }
 
+  /// The one place a rank thread blocks (barrier_wait and
+  /// Request::wait): returns once `released()` holds, or throws the
+  /// abort error when the job aborts first. `released` acquire-loads an
+  /// atomic that its releaser stores with release semantics while
+  /// holding `mutex`, then wakes `cv`. The waiter first spins with the
+  /// lock dropped for kSpinIterations, yielding every kSpinYieldEvery;
+  /// then it parks on `cv` and re-checks `released` under the lock.
+  /// Enter holding `lock`; on return the lock is held unless the spin
+  /// saw the release.
+  template <typename Released>
+  void wait_released(std::unique_lock<std::mutex>& lock,
+                     const Released& released) {
+    if (!released()) {
+      lock.unlock();
+      for (int i = 1; i <= kSpinIterations; ++i) {
+        if (released()) return;
+        if (aborted.load(std::memory_order_relaxed)) break;
+        if (i % kSpinYieldEvery == 0) std::this_thread::yield();
+      }
+      lock.lock();
+      cv.wait(lock, [&] { return released() || aborted; });
+    }
+    if (!released()) throw_aborted_locked();
+  }
+
   /// Enter the global barrier; throws once aborted (RankFailedError
   /// when a peer died, CommError otherwise).
   void barrier_wait() {
     std::unique_lock lock(mutex);
     if (aborted) throw_aborted_locked();
-    const std::uint64_t gen = generation;
+    const std::uint64_t gen = generation.load(std::memory_order_relaxed);
     if (++arrived == nranks) {
       arrived = 0;
-      ++generation;
+      generation.store(gen + 1, std::memory_order_release);
       cv.notify_all();
     } else {
-      cv.wait(lock, [&] { return generation != gen || aborted; });
-      if (aborted && generation == gen) {
-        throw_aborted_locked();
-      }
+      wait_released(lock, [&] {
+        return generation.load(std::memory_order_acquire) != gen;
+      });
     }
   }
 
