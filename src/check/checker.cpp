@@ -379,6 +379,17 @@ void JobChecker::block_exit(int global_rank, BlockedState previous) {
   blocked_[static_cast<std::size_t>(global_rank)] = std::move(previous);
 }
 
+void JobChecker::mark_released(std::span<const int> global_ranks,
+                               std::string_view what, std::uint64_t seq) {
+  const std::scoped_lock lock(block_mutex_);
+  for (const int rank : global_ranks) {
+    BlockedState& state = blocked_[static_cast<std::size_t>(rank)];
+    if (state.kind != BlockedState::Kind::kCollective) continue;
+    if (!what.empty() && (state.what != what || state.seq != seq)) continue;
+    state.released = true;
+  }
+}
+
 void JobChecker::rank_finished(int global_rank) {
   const std::scoped_lock lock(block_mutex_);
   auto& slot = blocked_[static_cast<std::size_t>(global_rank)];
@@ -427,7 +438,9 @@ void JobChecker::watchdog_loop() {
     std::vector<std::uint64_t> ids;
     ids.reserve(snapshot.size());
     for (const BlockedState& s : snapshot) {
-      if (s.kind == BlockedState::Kind::kNone) all_waiting = false;
+      if (s.kind == BlockedState::Kind::kNone || s.released) {
+        all_waiting = false;
+      }
       if (s.kind == BlockedState::Kind::kCollective) any_blocked = true;
       ids.push_back(s.id);
     }

@@ -135,6 +135,9 @@ struct BlockedState {
   std::uint64_t seq = 0;
   double sim_time = 0.0;
   std::string phase;       ///< phase path captured at block time
+  /// The wait was satisfied but the rank has not left it yet (see
+  /// JobChecker::mark_released); the watchdog counts the rank as running.
+  bool released = false;
 };
 
 // --- lifecycle auditor ----------------------------------------------------
@@ -226,6 +229,13 @@ class JobChecker {
                            std::uint64_t seq, double sim_time);
   /// Restore the pre-enter state (with a fresh change id).
   void block_exit(int global_rank, BlockedState previous);
+  /// Called by the rank that releases a wait, before the waiters can
+  /// observe the release: marks each of `global_ranks` that is blocked
+  /// (in `what` #`seq`, when `what` is given) as released. A loaded host
+  /// may not run a released waiter for a while; until its block_exit the
+  /// watchdog counts it as running, not as stalled.
+  void mark_released(std::span<const int> global_ranks,
+                     std::string_view what = {}, std::uint64_t seq = 0);
   /// Mark a rank as done communicating (its thread is about to exit).
   void rank_finished(int global_rank);
 

@@ -32,16 +32,17 @@ CombineTable::CombineTable(memtrack::Tracker& tracker,
 }
 
 CombineTable::Entry* CombineTable::find_slot(std::uint64_t hash,
-                                             std::string_view key) {
+                                             std::string_view key,
+                                             KVView* record,
+                                             std::size_t* record_bytes) {
   auto* entries = reinterpret_cast<Entry*>(slots_.data());
   std::uint64_t idx = hash & (slot_count_ - 1);
   for (;;) {
     Entry& slot = entries[idx];
     if (!slot.occupied()) return &slot;
     if (slot.hash == hash) {
-      std::size_t consumed = 0;
-      const KVView kv = codec_.decode(record_ptr(slot), &consumed);
-      if (kv.key == key) return &slot;
+      *record = codec_.decode(record_ptr(slot), record_bytes);
+      if (record->key == key) return &slot;
     }
     idx = (idx + 1) & (slot_count_ - 1);
   }
@@ -88,22 +89,22 @@ void CombineTable::grow() {
 
 void CombineTable::upsert(std::string_view key, std::string_view value) {
   const std::uint64_t hash = mutil::hash_bytes(key);
-  Entry* slot = find_slot(hash, key);
+  KVView existing;
+  std::size_t consumed = 0;
+  Entry* slot = find_slot(hash, key, &existing, &consumed);
   if (!slot->occupied()) {
     if (static_cast<double>(live_entries_ + 1) >
         kMaxLoad * static_cast<double>(slot_count_)) {
       grow();
-      slot = find_slot(hash, key);
+      slot = find_slot(hash, key, &existing, &consumed);
     }
     *slot = append_record(hash, key, value);
     ++live_entries_;
     return;
   }
 
-  // Duplicate key: combine the stored value with the incoming one.
-  std::size_t consumed = 0;
-  const std::byte* rec = record_ptr(*slot);
-  const KVView existing = codec_.decode(rec, &consumed);
+  // Duplicate key: combine the stored value (as find_slot decoded it)
+  // with the incoming one.
   scratch_.clear();
   combiner_(key, existing.value, value, scratch_);
   ++combined_kvs_;

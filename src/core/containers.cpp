@@ -150,7 +150,39 @@ void KVContainer::append(std::string_view key, std::string_view value) {
 }
 
 void KVContainer::append_encoded(std::span<const std::byte> bytes) {
-  codec_.for_each(bytes, [this](const KVView& kv) { append(kv); });
+  // The region already holds this container's encoding, so records are
+  // copied, never decoded and re-encoded. The first record of each run
+  // goes through grab(), which makes the page, spill and memtrack
+  // decisions that per-record append() would; the records behind it
+  // that still fit that page join the run and land with one memcpy.
+  const std::byte* src = bytes.data();
+  const std::byte* const end = src + bytes.size();
+  const auto record_size = [this, end](const std::byte* p) {
+    std::size_t size = 0;
+    (void)codec_.decode(p, &size);
+    if (size > static_cast<std::size_t>(end - p)) {
+      throw mutil::UsageError(
+          "KVContainer: encoded region ends inside a record");
+    }
+    return size;
+  };
+  while (src < end) {
+    std::size_t run = record_size(src);
+    std::byte* dst = grab(run);
+    detail::Page& page = pages_.back();
+    std::uint64_t kvs = 1;
+    while (src + run < end) {
+      const std::size_t next = record_size(src + run);
+      if (next > page.room()) break;
+      page.used += next;
+      run += next;
+      ++kvs;
+    }
+    std::memcpy(dst, src, run);
+    src += run;
+    num_kvs_ += kvs;
+    data_bytes_ += run;
+  }
 }
 
 void KVContainer::clear() {

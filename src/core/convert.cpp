@@ -14,6 +14,37 @@ namespace mimir {
 
 namespace {
 
+/// Key hash for ConvertIndex: a word at a time, then mix64's avalanche
+/// for the low bits the probe masks. Index-local on purpose: the KMV
+/// layout follows first-encounter order and the table grows with the
+/// group count, so this hash moves neither the output nor the tracked
+/// memory. Partitioning and the combine table, whose outcomes follow
+/// their hash, keep mutil::hash_bytes.
+std::uint64_t index_hash(std::string_view key) noexcept {
+  constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ULL;
+  const char* p = key.data();
+  std::size_t n = key.size();
+  std::uint64_t h = n * kMul;
+  for (; n >= 8; p += 8, n -= 8) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, p, 8);
+    h = (h ^ word) * kMul;
+    h ^= h >> 32;
+  }
+  if (n >= 4) {
+    std::uint32_t lo = 0, hi = 0;
+    std::memcpy(&lo, p, 4);
+    std::memcpy(&hi, p + n - 4, 4);
+    h ^= (std::uint64_t{hi} << 32) | lo;
+  } else if (n > 0) {
+    const auto byte = [p](std::size_t i) {
+      return std::uint64_t{static_cast<unsigned char>(p[i])};
+    };
+    h ^= (byte(0) << 16) | (byte(n / 2) << 8) | byte(n - 1);
+  }
+  return mutil::mix64(h);
+}
+
 /// Hash index over unique keys used by both convert passes. Key bytes
 /// are *referenced*, not copied: during pass 1 they point into the
 /// source KV pages; after layout they are swung to the KMV container's
@@ -44,7 +75,7 @@ class ConvertIndex {
 
   /// Find or create the group for `key`; returns its index.
   std::uint32_t upsert(std::string_view key) {
-    const std::uint64_t hash = mutil::hash_bytes(key);
+    const std::uint64_t hash = index_hash(key);
     Entry* slot = probe(hash, key);
     if (slot->group != kNone) return slot->group;
     if (static_cast<double>(groups_.size() + 1) >
@@ -64,7 +95,7 @@ class ConvertIndex {
 
   /// Lookup only (pass 2); the key must exist.
   std::uint32_t find(std::string_view key) const {
-    const std::uint64_t hash = mutil::hash_bytes(key);
+    const std::uint64_t hash = index_hash(key);
     const Entry* slot =
         const_cast<ConvertIndex*>(this)->probe(hash, key);
     return slot->group;
@@ -73,7 +104,7 @@ class ConvertIndex {
   /// Re-point an entry's key bytes at stable storage. Probing with the
   /// new view finds the old entry because the contents are identical.
   void rebind_key(std::string_view key) {
-    Entry* slot = probe(mutil::hash_bytes(key), key);
+    Entry* slot = probe(index_hash(key), key);
     slot->key = key.data();
   }
 

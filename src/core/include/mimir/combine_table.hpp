@@ -97,7 +97,11 @@ class CombineTable {
     return arena_[e.page].buffer.data() + e.offset;
   }
 
-  Entry* find_slot(std::uint64_t hash, std::string_view key);
+  /// The slot holding `key`, or the empty slot where it belongs. A
+  /// matched record is returned decoded in `*record` and its encoded
+  /// size in `*record_bytes`, so upsert does not decode it again.
+  Entry* find_slot(std::uint64_t hash, std::string_view key, KVView* record,
+                   std::size_t* record_bytes);
   void grow();
   void compact();
   Entry append_record(std::uint64_t hash, std::string_view key,

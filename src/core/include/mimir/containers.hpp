@@ -85,7 +85,8 @@ class KVContainer {
   void append(const KVView& kv) { append(kv.key, kv.value); }
 
   /// Append every KV of an encoded byte region (e.g. a receive buffer).
-  /// Records are re-packed so none straddles a page boundary.
+  /// Records are re-packed so none straddles a page boundary. Throws
+  /// UsageError when the region ends inside a record.
   void append_encoded(std::span<const std::byte> bytes);
 
   /// Visit every KV without consuming. Spilled segments are re-read

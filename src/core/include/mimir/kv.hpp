@@ -92,7 +92,7 @@ class KVCodec {
 
   /// Decode the KV starting at `p`; `*consumed` receives its byte size.
   KVView decode(const std::byte* p, std::size_t* consumed) const {
-    const std::byte* cursor = p;
+    const char* cursor = reinterpret_cast<const char*>(p);
     std::uint32_t klen = 0, vlen = 0;
     if (hint_.key_is_variable()) {
       std::memcpy(&klen, cursor, 4);
@@ -102,10 +102,13 @@ class KVCodec {
       std::memcpy(&vlen, cursor, 4);
       cursor += 4;
     }
-    const auto [key, after_key] = get_field(cursor, klen, hint_.key_len);
-    const auto [value, after_value] =
-        get_field(after_key, vlen, hint_.value_len);
-    *consumed = static_cast<std::size_t>(after_value - p);
+    const std::string_view key(cursor, field_len(cursor, klen, hint_.key_len));
+    cursor += key.size() + (hint_.key_len == KVHint::kString ? 1 : 0);
+    const std::string_view value(cursor,
+                                 field_len(cursor, vlen, hint_.value_len));
+    cursor += value.size() + (hint_.value_len == KVHint::kString ? 1 : 0);
+    *consumed = static_cast<std::size_t>(
+        cursor - reinterpret_cast<const char*>(p));
     return {key, value};
   }
 
@@ -164,18 +167,12 @@ class KVCodec {
     return p;
   }
 
-  static std::pair<std::string_view, const std::byte*> get_field(
-      const std::byte* p, std::uint32_t stored_len, std::int32_t hint) {
-    const char* chars = reinterpret_cast<const char*>(p);
-    if (hint == KVHint::kVariable) {
-      return {std::string_view(chars, stored_len), p + stored_len};
-    }
-    if (hint == KVHint::kString) {
-      const std::size_t len = std::strlen(chars);
-      return {std::string_view(chars, len), p + len + 1};
-    }
-    const auto len = static_cast<std::size_t>(hint);
-    return {std::string_view(chars, len), p + len};
+  /// Length of the field stored at `chars` (its NUL excluded).
+  static std::size_t field_len(const char* chars, std::uint32_t stored_len,
+                               std::int32_t hint) {
+    if (hint == KVHint::kVariable) return stored_len;
+    if (hint == KVHint::kString) return std::strlen(chars);
+    return static_cast<std::size_t>(hint);
   }
 
   KVHint hint_;

@@ -466,6 +466,11 @@ namespace {
 
 using detail::NbOp;
 
+/// What a rank waiting on a non-blocking op publishes to the watchdog.
+const char* nb_wait_name(bool alltoallv) {
+  return alltoallv ? "ialltoallv.wait" : "iallreduce_u64.wait";
+}
+
 /// Handoff key for the initiate -> wait happens-before edge, salted
 /// with the shared-state identity so keys from different communicators
 /// (and from sched's (node, rank) keyspace) cannot collide.
@@ -479,7 +484,7 @@ std::uint64_t nb_race_key(const SharedState& s, std::uint64_t key) {
 /// throw (verification mismatch, receive-buffer overflow) — the
 /// thrower unwinds, the runtime aborts the job, and blocked peers wake
 /// via the abort channel. A withdrawn op is left incomplete.
-void nb_complete_locked(SharedState& s, NbOp& op) {
+void nb_complete_locked(SharedState& s, std::uint64_t key, NbOp& op) {
   if (op.withdrawn) return;
   if (s.checker != nullptr && !op.fps.empty()) {
     s.checker->verify_collective(op.fps, s.check_ranks);
@@ -517,6 +522,11 @@ void nb_complete_locked(SharedState& s, NbOp& op) {
   double t = 0.0;
   for (const NbOp::Part& part : op.parts) t = std::max(t, part.clock);
   op.t_all = t;
+  if (s.checker != nullptr) {
+    s.checker->mark_released(
+        s.check_ranks,
+        nb_wait_name(op.kind == check::CollectiveOp::kIalltoallv), key);
+  }
   op.complete.store(true, std::memory_order_release);
   s.cv.notify_all();
 }
@@ -575,7 +585,7 @@ Request Communicator::nb_join(check::CollectiveFingerprint shape,
     // outlives the caller's (iallreduce_u64 has none).
     if (!part.counts.empty()) shape.send_counts = part.counts.data();
     check_announce(op.fps, shape, part.clock);
-    if (++op.arrived == s.nranks) nb_complete_locked(s, op);
+    if (++op.arrived == s.nranks) nb_complete_locked(s, key, op);
   }
   ++stats_.collectives;
   return Request(this, key, alltoallv, send_base, recv_base);
@@ -629,10 +639,9 @@ void Communicator::nb_wait(Request& request) {
   std::uint64_t sent = 0;
   std::uint64_t received = 0;
   {
-    const check::BlockGuard guard(
-        s.checker, check_global_rank(),
-        request.alltoallv_ ? "ialltoallv.wait" : "iallreduce_u64.wait",
-        request.key_, clock_->now());
+    const check::BlockGuard guard(s.checker, check_global_rank(),
+                                  nb_wait_name(request.alltoallv_),
+                                  request.key_, clock_->now());
     std::unique_lock lock(s.mutex);
     const auto it = s.nb_ops.find(request.key_);
     if (it == s.nb_ops.end()) {

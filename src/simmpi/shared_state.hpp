@@ -228,6 +228,9 @@ struct SharedState {
     const std::uint64_t gen = generation.load(std::memory_order_relaxed);
     if (++arrived == nranks) {
       arrived = 0;
+      // Every rank of this communicator waits in this barrier; mark
+      // them before the store lets any of them leave it.
+      if (checker != nullptr) checker->mark_released(check_ranks);
       generation.store(gen + 1, std::memory_order_release);
       cv.notify_all();
     } else {

@@ -66,7 +66,9 @@ std::string Summary::json() const {
   for (const auto& [name, seconds] : phase_seconds) {
     out += first ? "" : ",";
     first = false;
-    out += "\"" + jsonlite::escape(name) + "\":{";
+    out += '"';
+    out += jsonlite::escape(name);
+    out += "\":{";
     bool inner = true;
     append_kv_f64(out, "seconds", seconds, &inner);
     const auto peak = phase_mem_peak.find(name);
@@ -150,7 +152,9 @@ std::string Summary::json() const {
   for (const auto& [tag, mem] : memory_components) {
     out += first ? "" : ",";
     first = false;
-    out += "\"" + jsonlite::escape(tag) + "\":{";
+    out += '"';
+    out += jsonlite::escape(tag);
+    out += "\":{";
     bool inner = true;
     append_kv_u64(out, "current", mem.current, &inner);
     append_kv_u64(out, "peak", mem.peak, &inner);

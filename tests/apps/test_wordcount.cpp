@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
+
 #include "mutil/hash.hpp"
 
 namespace {
@@ -242,6 +247,59 @@ TEST(WcHint, HintReducesIntermediateBytes) {
   // Expect roughly the paper's ~26 % reduction; accept 15-40 %.
   EXPECT_LT(bytes_hint, bytes_plain * 0.85);
   EXPECT_GT(bytes_hint, bytes_plain * 0.60);
+}
+
+/// Records every emitted (key, value) pair.
+class RecordingEmitter final : public mimir::Emitter {
+ public:
+  void emit(std::string_view key, std::string_view value) override {
+    emitted.emplace_back(key, value);
+  }
+  std::vector<std::pair<std::string, std::string>> emitted;
+};
+
+/// The find_first_of tokenizer map_words replaced, kept as its
+/// reference.
+std::vector<std::pair<std::string, std::string>> reference_words(
+    std::string_view chunk) {
+  std::vector<std::pair<std::string, std::string>> out;
+  const std::uint64_t one = 1;
+  std::size_t start = 0;
+  while (start < chunk.size()) {
+    const std::size_t end = chunk.find_first_of(" \n\t\r", start);
+    const std::size_t stop =
+        end == std::string_view::npos ? chunk.size() : end;
+    if (stop > start) {
+      out.emplace_back(chunk.substr(start, stop - start),
+                       mimir::as_view(one));
+    }
+    start = stop + 1;
+  }
+  return out;
+}
+
+TEST(WcMapWords, MatchesTheFindFirstOfTokenizer) {
+  using namespace std::string_view_literals;
+  const std::string_view chunks[] = {
+      ""sv,
+      "word"sv,
+      "two words\n"sv,
+      "  leading and trailing  "sv,
+      "repeated   separators\n\n\nhere"sv,
+      "windows\r\nline\r\nends\r\n"sv,
+      "tabs\tand\t\tmore\ttabs"sv,
+      "\n\t\r "sv,
+      "no final newline"sv,
+      "punctuation, stays; attached!\n"sv,
+      "\x01" "control\x7f and \xc3\xa9t\xc3\xa9 bytes"sv,
+      "nul\0inside and\vvertical\ffeed"sv,
+  };
+  for (const std::string_view chunk : chunks) {
+    SCOPED_TRACE(std::string(chunk));
+    RecordingEmitter out;
+    apps::wc::map_words(chunk, out);
+    EXPECT_EQ(out.emitted, reference_words(chunk));
+  }
 }
 
 }  // namespace

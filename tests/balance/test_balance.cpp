@@ -73,7 +73,8 @@ void sum_combine(std::string_view, std::string_view a, std::string_view b,
 void skewed_produce(int rank, Emitter& out) {
   for (int i = 0; i < 1200; ++i) out.emit("hot", std::uint64_t{1});
   for (int i = 0; i < 600; ++i) {
-    out.emit("w" + std::to_string((i * 13 + rank) % 59), std::uint64_t{1});
+    out.emit(std::string("w").append(std::to_string((i * 13 + rank) % 59)),
+             std::uint64_t{1});
   }
 }
 
@@ -84,7 +85,7 @@ TEST(BalanceSketch, HeavyHitterGuaranteeHolds) {
   KeyFreqSketch sketch(4, 32, 2);
   for (int i = 0; i < 100; ++i) sketch.offer("hot", 100, 0);
   for (int i = 0; i < 400; ++i) {
-    sketch.offer("t" + std::to_string(i % 97), 10, i % 2);
+    sketch.offer(std::string("t").append(std::to_string(i % 97)), 10, i % 2);
   }
   ASSERT_TRUE(sketch.heavy().contains("hot"));
   const auto& entry = sketch.heavy().find("hot")->second;
@@ -110,7 +111,8 @@ TEST(BalanceSketch, DestBytesTrackFallbackRoutingExactly) {
 TEST(BalanceSketch, SerializationRoundTripsBitIdentically) {
   KeyFreqSketch sketch(4, 16, 2);
   for (int i = 0; i < 300; ++i) {
-    sketch.offer("k" + std::to_string(i % 23), 8 + i % 5, i % 2);
+    sketch.offer(std::string("k").append(std::to_string(i % 23)), 8 + i % 5,
+                 i % 2);
   }
   const auto blob = sketch.serialize();
   const KeyFreqSketch back = KeyFreqSketch::deserialize(blob);
@@ -152,7 +154,8 @@ TEST(BalanceSketch, IdenticalStreamsSerializeIdentically) {
   const auto build = [] {
     KeyFreqSketch sketch(4, 16, 4);
     for (int i = 0; i < 500; ++i) {
-      sketch.offer("k" + std::to_string((i * 31) % 41), 6 + i % 7, i % 4);
+      sketch.offer(std::string("k").append(std::to_string((i * 31) % 41)),
+                   6 + i % 7, i % 4);
     }
     return sketch.serialize();
   };
@@ -171,7 +174,8 @@ KeyFreqSketch merged_skewed_sketch(int nranks) {
                                    static_cast<std::uint64_t>(nranks)));
     }
     for (int i = 0; i < 300; ++i) {
-      const std::string key = "w" + std::to_string((i * 13 + r) % 59);
+      const std::string key =
+          std::string("w").append(std::to_string((i * 13 + r) % 59));
       local.offer(key, 12,
                   static_cast<int>(mutil::hash_bytes(key) %
                                    static_cast<std::uint64_t>(nranks)));
@@ -330,8 +334,9 @@ TEST(BalancerShuffle, PlanInstallsOnceAndObserverSeesOnePlanPerRank) {
       shuffle.emit("hot", mimir::as_view(kOne));
     }
     for (int i = 0; i < 300; ++i) {
-      shuffle.emit("w" + std::to_string((i * 13 + ctx.rank()) % 59),
-                   mimir::as_view(kOne));
+      shuffle.emit(
+          std::string("w").append(std::to_string((i * 13 + ctx.rank()) % 59)),
+          mimir::as_view(kOne));
     }
     shuffle.finalize();
     EXPECT_TRUE(balancer.planned());

@@ -9,8 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 // The leak test allocates a container it never frees; hide it from
@@ -281,6 +284,40 @@ TEST(CheckDeadlock, HealthyJobRaisesNoFalsePositives) {
   EXPECT_TRUE(report.empty()) << report.text();
 }
 
+TEST(CheckDeadlock, ReleasedWaiterIsNotAStallUntilItBlocksAgain) {
+  // Drives the watchdog directly: a rank whose wait was released but
+  // whose thread has not run yet must not make a healthy job look
+  // deadlocked, however long the host takes to schedule it.
+  Report report;
+  const CheckConfig cfg = fast_watchdog();
+  JobChecker checker(report, cfg);
+  checker.reset(3);
+  std::atomic<bool> aborted{false};
+  checker.start_watchdog([&](const std::string&) { aborted = true; });
+  std::vector<check::BlockedState> previous;
+  for (int r = 0; r < 3; ++r) {
+    previous.push_back(checker.block_enter(r, "barrier", 7, 1.0));
+  }
+  const std::vector<int> rank1{1};
+  checker.mark_released(rank1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(
+      cfg.watchdog_interval_ms * (cfg.watchdog_stalls + 4)));
+  EXPECT_FALSE(aborted.load());
+  EXPECT_TRUE(report.empty()) << report.text();
+
+  // Rank 1 leaves and blocks in a new wait: the mark is gone with the
+  // old one, and a mark for some other wait does not apply to it.
+  checker.block_exit(1, previous[1]);
+  (void)checker.block_enter(1, "barrier", 8, 2.0);
+  checker.mark_released(rank1, "ialltoallv.wait", 8);
+  for (int i = 0; i < 500 && !aborted.load(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  checker.stop_watchdog();
+  EXPECT_TRUE(aborted.load());
+  EXPECT_EQ(report.count("deadlock"), 1u);
+}
+
 // --- lifecycle auditor ----------------------------------------------------
 
 TEST(CheckLifecycle, LeakedContainerPageIsReportedWithPhase) {
@@ -358,7 +395,7 @@ void wordish_job(Context& ctx) {
   job.map_custom([&](mimir::Emitter& out) {
     for (int i = 0; i < 300; ++i) {
       out.emit("key" + std::to_string((i * 7 + ctx.rank()) % 37),
-               "v" + std::to_string(i % 5));
+               std::string("v").append(std::to_string(i % 5)));
     }
   });
   job.reduce([](std::string_view key, mimir::ValueReader& values,

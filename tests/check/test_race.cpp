@@ -394,7 +394,7 @@ void wordish_job(Context& ctx) {
   job.map_custom([&](mimir::Emitter& out) {
     for (int i = 0; i < 300; ++i) {
       out.emit("key" + std::to_string((i * 7 + ctx.rank()) % 37),
-               "v" + std::to_string(i % 5));
+               std::string("v").append(std::to_string(i % 5)));
     }
   });
   job.reduce([](std::string_view key, mimir::ValueReader& values,

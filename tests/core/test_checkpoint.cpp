@@ -31,8 +31,9 @@ TEST(Checkpoint, ContainerRoundTrips) {
   simmpi::run_test(3, [](Context& ctx) {
     KVContainer kvc(ctx.tracker, 512);
     for (int i = 0; i < 50; ++i) {
-      kvc.append("r" + std::to_string(ctx.rank()) + "k" + std::to_string(i),
-                 "value" + std::to_string(i));
+      std::string key = std::string("r").append(std::to_string(ctx.rank()));
+      key.append("k").append(std::to_string(i));
+      kvc.append(key, "value" + std::to_string(i));
     }
     mimir::save_container(ctx, kvc, "trip");
     EXPECT_TRUE(mimir::checkpoint_exists(ctx, "trip"));
@@ -115,8 +116,9 @@ TEST(Checkpoint, FailAfterMapThenResumeMatchesUninterruptedRun) {
 
   const auto produce = [](Context& ctx, Emitter& out) {
     for (int i = 0; i < 400; ++i) {
-      out.emit("g" + std::to_string((i * 13 + ctx.rank()) % 37),
-               std::uint64_t{1});
+      out.emit(
+          std::string("g").append(std::to_string((i * 13 + ctx.rank()) % 37)),
+          std::uint64_t{1});
     }
   };
   const auto collect = [](Context& ctx, Job& job) {
@@ -186,7 +188,9 @@ TEST(Checkpoint, IoChargedToSimulatedClock) {
   pfs::FileSystem fs(machine, 1);
   simmpi::run(1, machine, fs, [](Context& ctx) {
     KVContainer kvc(ctx.tracker, 512);
-    for (int i = 0; i < 20; ++i) kvc.append("k" + std::to_string(i), "v");
+    for (int i = 0; i < 20; ++i) {
+      kvc.append(std::string("k").append(std::to_string(i)), "v");
+    }
     const double before = ctx.clock().now();
     mimir::save_container(ctx, kvc, "cost");
     EXPECT_GT(ctx.clock().now(), before + 0.01);

@@ -4,6 +4,7 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
 namespace {
 
@@ -95,13 +96,48 @@ TEST(CombineTable, GrowsPastInitialCapacity) {
   EXPECT_EQ(mimir::as_u64(result.at("key1")), 1u);
 }
 
+TEST(CombineTable, VisitOrderIsPinned) {
+  // for_each visits the table in slot order, which follows
+  // mutil::hash_bytes and the probe sequence. A combined shuffle emits
+  // in this order, so it fixes where rounds end and hence simulated
+  // time. The expected orders are recorded values: a change to the
+  // table's hash or probing fails here before it moves a benchmark.
+  memtrack::Tracker tracker;
+  CombineTable small(tracker, 4096, KVHint::string_key_u64_value(), sum_u64);
+  for (const char* word : {"the", "of", "and", "to", "in", "a", "is",
+                           "that", "for", "it", "as", "was"}) {
+    small.upsert(word, mimir::as_view(std::uint64_t{1}));
+  }
+  std::vector<std::string> order;
+  small.for_each([&](const KVView& kv) { order.emplace_back(kv.key); });
+  EXPECT_EQ(order, (std::vector<std::string>{"that", "to", "a", "it", "is",
+                                             "as", "for", "of", "and", "in",
+                                             "was", "the"}));
+
+  // 3000 keys: two rehashes. The digest folds the visit order.
+  CombineTable large(tracker, 4096, KVHint::variable(), sum_u64);
+  for (int i = 0; i < 3000; ++i) {
+    large.upsert("key" + std::to_string(i),
+                 mimir::as_view(std::uint64_t{1}));
+  }
+  std::uint64_t digest = 0;
+  std::vector<std::string> head;
+  large.for_each([&](const KVView& kv) {
+    digest = digest * 1000003 + std::stoull(std::string(kv.key.substr(3)));
+    if (head.size() < 4) head.emplace_back(kv.key);
+  });
+  EXPECT_EQ(head, (std::vector<std::string>{"key292", "key2208", "key1695",
+                                            "key2463"}));
+  EXPECT_EQ(digest, 5210232509395629560u);
+}
+
 TEST(CombineTable, MemoryChargedAndReleased) {
   memtrack::Tracker tracker;
   {
     CombineTable table(tracker, 1024, KVHint::string_key_u64_value(),
                        sum_u64);
     for (int i = 0; i < 1000; ++i) {
-      table.upsert("k" + std::to_string(i),
+      table.upsert(std::string("k").append(std::to_string(i)),
                    mimir::as_view(std::uint64_t{1}));
     }
     EXPECT_GT(tracker.current(), 0u);
@@ -137,7 +173,7 @@ TEST(CombineTable, SizeChangingCombinesKeepFootprintBounded) {
   std::map<std::string, std::string> reference;
   for (int round = 0; round < 400; ++round) {
     for (int k = 0; k < 8; ++k) {
-      const std::string key = "k" + std::to_string(k);
+      const std::string key = std::string("k").append(std::to_string(k));
       const std::string piece = std::to_string(round);
       table.upsert(key, piece);
       if (reference[key].empty()) {

@@ -3,8 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "mutil/error.hpp"
+#include "pfs/filesystem.hpp"
+#include "simtime/clock.hpp"
+#include "simtime/machine.hpp"
 
 namespace {
 
@@ -44,7 +51,9 @@ TEST(KVContainer, GrowsPagesOnDemand) {
 TEST(KVContainer, ConsumeFreesPagesProgressively) {
   memtrack::Tracker tracker;
   KVContainer kvc(tracker, 64);
-  for (int i = 0; i < 100; ++i) kvc.append("k" + std::to_string(i), "v");
+  for (int i = 0; i < 100; ++i) {
+    kvc.append(std::string("k").append(std::to_string(i)), "v");
+  }
   const std::uint64_t before = tracker.current();
   std::uint64_t min_seen = before;
   int count = 0;
@@ -69,24 +78,118 @@ TEST(KVContainer, OversizedRecordGetsDedicatedPage) {
   EXPECT_EQ(out, big);
 }
 
+/// One way of filling a container: its hint, page size, whether one KV
+/// is larger than a page, and the spill bound (0 = in memory).
+struct RepackCase {
+  const char* name;
+  KVHint hint;
+  std::uint64_t page_size;
+  bool oversized;
+  std::uint64_t spill_live_bytes;
+};
+
+/// KVs that fit `c.hint`: keys and values of varying length where the
+/// hint allows it, and one value of 300 bytes when `c.oversized`.
+std::vector<std::pair<std::string, std::string>> repack_kvs(
+    const RepackCase& c) {
+  std::vector<std::pair<std::string, std::string>> kvs;
+  for (int i = 0; i < 80; ++i) {
+    std::string key = std::string("k").append(std::to_string(i * 37 % 101));
+    if (c.hint.key_len >= 0) {
+      key.resize(static_cast<std::size_t>(c.hint.key_len), '_');
+    }
+    std::string value(static_cast<std::size_t>(i % 13),
+                      static_cast<char>('a' + i % 26));
+    if (c.hint.value_len == KVHint::kString && value.empty()) value = "s";
+    if (c.hint.value_len >= 0) {
+      value.resize(static_cast<std::size_t>(c.hint.value_len), '#');
+    } else if (c.oversized && i == 41) {
+      value.assign(300, 'x');
+    }
+    kvs.emplace_back(std::move(key), std::move(value));
+  }
+  return kvs;
+}
+
 TEST(KVContainer, AppendEncodedRepacks) {
+  // append_encoded copies runs of received records; it must leave the
+  // container exactly as per-record append() of the same KVs would.
+  const RepackCase cases[] = {
+      {"variable, one run", KVHint::variable(), 4096, false, 0},
+      {"variable, many runs", KVHint::variable(), 64, false, 0},
+      {"variable, record larger than a page", KVHint::variable(), 64, true,
+       0},
+      {"string key, u64 value", KVHint::string_key_u64_value(), 48, false, 0},
+      {"string key and value", KVHint{KVHint::kString, KVHint::kString}, 40,
+       true, 0},
+      {"fixed", KVHint::fixed(6, 8), 64, false, 0},
+      {"variable, spilling", KVHint::variable(), 64, true, 256},
+      {"string key, u64 value, spilling", KVHint::string_key_u64_value(), 48,
+       false, 128},
+  };
+  const auto machine = simtime::MachineProfile::test_profile();
+  for (const RepackCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    const auto kvs = repack_kvs(c);
+    const mimir::KVCodec codec(c.hint);
+    std::vector<std::byte> region;
+    for (const auto& [key, value] : kvs) {
+      const std::size_t old = region.size();
+      region.resize(old + codec.encoded_size(key, value));
+      codec.encode(region.data() + old, key, value);
+    }
+
+    pfs::FileSystem fs(machine, 1);
+    memtrack::Tracker tracker_each, tracker_bulk;
+    simtime::Clock clock_each, clock_bulk;
+    KVContainer each(tracker_each, c.page_size, c.hint);
+    KVContainer bulk(tracker_bulk, c.page_size, c.hint);
+    if (c.spill_live_bytes != 0) {
+      each.enable_spill({&fs, &clock_each, "each", c.spill_live_bytes});
+      bulk.enable_spill({&fs, &clock_bulk, "bulk", c.spill_live_bytes});
+    }
+    for (const auto& [key, value] : kvs) each.append(key, value);
+    // Two receive rounds, split at the first record boundary past the
+    // middle: the second round starts on a partly filled page.
+    std::size_t split = 0;
+    while (split < region.size() / 2) {
+      std::size_t bytes = 0;
+      (void)codec.decode(region.data() + split, &bytes);
+      split += bytes;
+    }
+    bulk.append_encoded(std::span<const std::byte>(region).first(split));
+    bulk.append_encoded(std::span<const std::byte>(region).subspan(split));
+
+    EXPECT_EQ(bulk.num_pages(), each.num_pages());
+    EXPECT_EQ(bulk.num_kvs(), kvs.size());
+    EXPECT_EQ(bulk.num_kvs(), each.num_kvs());
+    EXPECT_EQ(bulk.data_bytes(), each.data_bytes());
+    EXPECT_EQ(bulk.allocated_bytes(), each.allocated_bytes());
+    EXPECT_EQ(tracker_bulk.current(), tracker_each.current());
+    EXPECT_EQ(tracker_bulk.peak(), tracker_each.peak());
+    EXPECT_EQ(bulk.spilled_bytes(), each.spilled_bytes());
+    EXPECT_EQ(bulk.spilled(), c.spill_live_bytes != 0);
+    EXPECT_EQ(clock_bulk.now(), clock_each.now());
+    std::vector<std::pair<std::string, std::string>> seen_each, seen_bulk;
+    each.scan([&](const KVView& kv) {
+      seen_each.emplace_back(kv.key, kv.value);
+    });
+    bulk.scan([&](const KVView& kv) {
+      seen_bulk.emplace_back(kv.key, kv.value);
+    });
+    EXPECT_EQ(seen_each, kvs);
+    EXPECT_EQ(seen_bulk, kvs);
+  }
+}
+
+TEST(KVContainer, AppendEncodedRejectsARegionEndingInsideARecord) {
   memtrack::Tracker tracker;
-  KVContainer src(tracker, 256), dst(tracker, 64);
-  for (int i = 0; i < 20; ++i) src.append("k" + std::to_string(i), "vv");
-  // Concatenate src's single page region into dst with a smaller page.
-  src.scan([](const KVView&) {});
-  std::vector<std::byte> flat;
-  // Use the public path: encode via scan + append, then compare against
-  // append_encoded of a manually built stream.
-  const mimir::KVCodec& codec = src.codec();
-  src.scan([&](const KVView& kv) {
-    const std::size_t old = flat.size();
-    flat.resize(old + codec.encoded_size(kv.key, kv.value));
-    codec.encode(flat.data() + old, kv.key, kv.value);
-  });
-  dst.append_encoded(flat);
-  EXPECT_EQ(dst.num_kvs(), 20u);
-  EXPECT_EQ(dst.data_bytes(), src.data_bytes());
+  KVContainer kvc(tracker, 64);
+  const mimir::KVCodec& codec = kvc.codec();
+  std::vector<std::byte> region(codec.encoded_size("key", "value"));
+  codec.encode(region.data(), "key", "value");
+  region.pop_back();
+  EXPECT_THROW(kvc.append_encoded(region), mutil::UsageError);
 }
 
 TEST(KVContainer, HintPropagatesToStorage) {
@@ -190,7 +293,7 @@ TEST(KMVContainer, ConsumeFreesEverything) {
   memtrack::Tracker tracker;
   KMVContainer kmvc(tracker, 128);
   for (int i = 0; i < 30; ++i) {
-    auto slot = kmvc.reserve("k" + std::to_string(i), 1, 10);
+    auto slot = kmvc.reserve(std::string("k").append(std::to_string(i)), 1, 10);
     kmvc.add_value(slot, std::string(10, 'z'));
   }
   int seen = 0;

@@ -179,7 +179,8 @@ TEST(JobPrefetch, OocSpillWriteBehindBitIdentical) {
       Job job(ctx, cfg);
       job.map_custom([&](Emitter& out) {
         for (int i = 0; i < 2000; ++i) {
-          out.emit("k" + std::to_string((i * 7 + ctx.rank()) % 97),
+          out.emit(std::string("k").append(
+                       std::to_string((i * 7 + ctx.rank()) % 97)),
                    std::uint64_t{1});
         }
       });

@@ -118,7 +118,7 @@ TEST(Codec, ForEachWalksAStream) {
   const KVCodec codec{KVHint::variable()};
   std::vector<std::byte> buf;
   for (int i = 0; i < 10; ++i) {
-    const std::string key = "k" + std::to_string(i);
+    const std::string key = std::string("k").append(std::to_string(i));
     const std::string value(static_cast<std::size_t>(i), 'x');
     const std::size_t old = buf.size();
     buf.resize(old + codec.encoded_size(key, value));
@@ -126,7 +126,7 @@ TEST(Codec, ForEachWalksAStream) {
   }
   int count = 0;
   codec.for_each(buf, [&](const KVView& kv) {
-    EXPECT_EQ(kv.key, "k" + std::to_string(count));
+    EXPECT_EQ(kv.key, std::string("k").append(std::to_string(count)));
     EXPECT_EQ(kv.value.size(), static_cast<std::size_t>(count));
     ++count;
   });

@@ -61,7 +61,9 @@ TEST(OocContainer, ConsumeDrainsAndRemovesSpillFile) {
   simmpi::run_test(1, [](Context& ctx) {
     KVContainer kvc(ctx.tracker, 128);
     kvc.enable_spill(spill_for(ctx, "spill/b", 512));
-    for (int i = 0; i < 100; ++i) kvc.append("k" + std::to_string(i), "v");
+    for (int i = 0; i < 100; ++i) {
+      kvc.append(std::string("k").append(std::to_string(i)), "v");
+    }
     EXPECT_TRUE(ctx.fs.exists("spill/b"));
     int count = 0;
     kvc.consume([&](const KVView&) { ++count; });
@@ -77,7 +79,9 @@ TEST(OocContainer, DestructorRemovesSpillFile) {
     {
       KVContainer kvc(ctx.tracker, 128);
       kvc.enable_spill(spill_for(ctx, "spill/c", 256));
-      for (int i = 0; i < 60; ++i) kvc.append("k" + std::to_string(i), "v");
+      for (int i = 0; i < 60; ++i) {
+        kvc.append(std::string("k").append(std::to_string(i)), "v");
+      }
       EXPECT_TRUE(ctx.fs.exists("spill/c"));
     }
     EXPECT_FALSE(ctx.fs.exists("spill/c"));
@@ -140,7 +144,8 @@ TEST_P(OocJob, ResultsMatchInMemoryRun) {
       Job job(ctx, cfg);
       job.map_custom([&](Emitter& out) {
         for (int i = 0; i < 2000; ++i) {
-          out.emit("w" + std::to_string((i * 31 + ctx.rank()) % 97),
+          out.emit(std::string("w").append(
+                       std::to_string((i * 31 + ctx.rank()) % 97)),
                    std::uint64_t{1});
         }
       });
@@ -235,7 +240,8 @@ TEST(OocJob, SpillingChargesSimulatedTime) {
       Job job(ctx, cfg);
       job.map_custom([](Emitter& out) {
         for (int i = 0; i < 1500; ++i) {
-          out.emit("k" + std::to_string(i), std::uint64_t{1});
+          out.emit(std::string("k").append(std::to_string(i)),
+                   std::uint64_t{1});
         }
       });
       job.partial_reduce(sum_combine);

@@ -2,6 +2,7 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
 #include "mimir/containers.hpp"
 #include "mimir/convert.hpp"
@@ -44,7 +45,7 @@ TEST(Shuffle, SmallBufferForcesManyRounds) {
     // 64-byte buffer -> 32-byte partitions: a few KVs per round.
     Shuffle shuffle(ctx, 64, {}, dest);
     for (int i = 0; i < 100; ++i) {
-      shuffle.emit("k" + std::to_string(i), "value");
+      shuffle.emit(std::string("k").append(std::to_string(i)), "value");
     }
     shuffle.finalize();
     EXPECT_GT(shuffle.rounds(), 5u);
@@ -185,7 +186,8 @@ TEST(Convert, ManyKeysSurviveRehash) {
     constexpr int kKeys = 4000;  // > initial index capacity
     for (int pass = 0; pass < 3; ++pass) {
       for (int i = 0; i < kKeys; ++i) {
-        kvc.append("key" + std::to_string(i), "v" + std::to_string(pass));
+        kvc.append(std::string("key").append(std::to_string(i)),
+                   std::string("v").append(std::to_string(pass)));
       }
     }
     mimir::ConvertStats stats;
@@ -213,6 +215,53 @@ TEST(Convert, PreservesPerKeyValueOrderWithinRank) {
       EXPECT_EQ(expected, 10);
     });
   });
+}
+
+TEST(Convert, RecordsFollowFirstEncounterOrderWhateverTheIndexHash) {
+  // The KMV layout is first-encounter order, never the index's slot
+  // order; that is what lets the index hash be local to convert. 3000
+  // keys take the index through two rehashes, and a spilled input takes
+  // pass 1's copied-key path.
+  constexpr std::uint64_t kKeys = 3000;
+  for (const mimir::KVHint hint :
+       {mimir::KVHint::variable(), mimir::KVHint::string_key_u64_value()}) {
+    for (const bool spill : {false, true}) {
+      SCOPED_TRACE(std::string(hint.key_is_variable() ? "variable" : "string") +
+                   (spill ? ", spilled input" : ", in-memory input"));
+      simmpi::run_test(1, [&](Context& ctx) {
+        KVContainer kvc(ctx.tracker, 4096, hint);
+        if (spill) {
+          kvc.enable_spill({&ctx.fs, &ctx.clock(), "spill/order", 16 << 10});
+        }
+        // Each key once per round, in a different order each round, so
+        // round 0 alone fixes the first-encounter order.
+        std::vector<std::string> first_seen;
+        for (std::uint64_t round = 0; round < 3; ++round) {
+          for (std::uint64_t i = 0; i < kKeys; ++i) {
+            const std::uint64_t k = (i * 1237 + round * 17) % kKeys;
+            const std::string key =
+                std::string("w").append(std::to_string(k * 7919 % 100003));
+            if (round == 0) first_seen.push_back(key);
+            const std::uint64_t seq = round * kKeys + i;
+            kvc.append(key, mimir::as_view(seq));
+          }
+        }
+        EXPECT_EQ(kvc.spilled(), spill);
+        auto kmvc = mimir::convert(ctx, kvc, 4096);
+        std::vector<std::string> order;
+        kmvc.for_each([&](std::string_view key, mimir::ValueReader& values) {
+          order.emplace_back(key);
+          std::vector<std::uint64_t> seqs;
+          std::string_view v;
+          while (values.next(v)) seqs.push_back(mimir::as_u64(v));
+          ASSERT_EQ(seqs.size(), 3u);
+          EXPECT_LT(seqs[0], seqs[1]);
+          EXPECT_LT(seqs[1], seqs[2]);
+        });
+        EXPECT_EQ(order, first_seen);
+      });
+    }
+  }
 }
 
 TEST(Convert, EmptyInputYieldsEmptyOutput) {

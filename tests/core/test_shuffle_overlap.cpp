@@ -69,7 +69,7 @@ TEST(ShuffleOverlap, BitIdenticalIntermediateAcrossModes) {
       Shuffle shuffle(ctx, 128, {}, dest, {}, overlap);
       for (int i = 0; i < 500; ++i) {
         shuffle.emit("key" + std::to_string((ctx.rank() * 500 + i) % 61),
-                     "v" + std::to_string(i));
+                     std::string("v").append(std::to_string(i)));
       }
       shuffle.finalize();
       auto& mine = (*per_rank)[static_cast<std::size_t>(ctx.rank())];
@@ -127,7 +127,7 @@ TEST(ShuffleOverlap, ZeroEmitRankDrainsPeersRounds) {
     Shuffle shuffle(ctx, 96, {}, dest, {}, overlap);
     if (ctx.rank() == 1) {
       for (int i = 0; i < 200; ++i) {
-        shuffle.emit("k" + std::to_string(i), "value");
+        shuffle.emit(std::string("k").append(std::to_string(i)), "value");
       }
     }
     shuffle.finalize();

@@ -234,7 +234,8 @@ TEST(InjectEquivalence, EmptyPlanIsBitIdentical) {
       mimir::Job job(ctx, cfg);
       job.map_custom([&](mimir::Emitter& out) {
         for (int i = 0; i < 800; ++i) {
-          out.emit("w" + std::to_string((i * 31 + ctx.rank()) % 67),
+          out.emit(std::string("w").append(
+                       std::to_string((i * 31 + ctx.rank()) % 67)),
                    std::uint64_t{1});
         }
       });

@@ -78,7 +78,7 @@ RecoveryJob make_job(OutputSink& sink, JobConfig cfg, bool use_pr,
     const int rank = job.context().rank();
     const auto produce = [rank](Emitter& out) {
       for (int i = 0; i < 500; ++i) {
-        out.emit("w" + std::to_string((i * 13 + rank) % 59),
+        out.emit(std::string("w").append(std::to_string((i * 13 + rank) % 59)),
                  std::uint64_t{1});
       }
     };

@@ -175,7 +175,7 @@ TEST(MrMpi, SpilloverKeepsResultsCorrect) {
   pfs::FileSystem fs(machine, 2);
   std::string text;
   for (int i = 0; i < 600; ++i) {
-    text += "w" + std::to_string(i % 60) + "\n";
+    text += std::string("w").append(std::to_string(i % 60)) + "\n";
   }
   write_input(fs, text);
   const std::vector<std::string> files{"input/part0"};

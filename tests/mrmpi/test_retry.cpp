@@ -50,7 +50,7 @@ mrmpi::RetryBody wordcount(Sink& sink) {
     const int rank = ctx.rank();
     mr.map_custom([rank](mimir::Emitter& out) {
       for (int i = 0; i < 500; ++i) {
-        out.emit("w" + std::to_string((i * 13 + rank) % 59),
+        out.emit(std::string("w").append(std::to_string((i * 13 + rank) % 59)),
                  std::uint64_t{1});
       }
     });
