@@ -7,7 +7,6 @@
 #include "check/checker.hpp"
 #include "check/race.hpp"
 #include "mutil/error.hpp"
-#include "mutil/logging.hpp"
 #include "stats/jsonlite.hpp"
 
 namespace bench {
@@ -20,6 +19,37 @@ std::string json_double(double v) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.12g", v);
   return buf;
+}
+
+/// The error envelope shared by run_config and run_driver. A run is
+/// kSpilled when `spilled` is set and reads true once `fn` returns.
+Outcome run_enveloped(const DriverFn& fn, const std::atomic<bool>* spilled,
+                      const RunLabel& label) {
+  Outcome outcome;
+  Report* report = Report::active();
+  std::unique_ptr<stats::Collector> collector;
+  if (report != nullptr) collector = std::make_unique<stats::Collector>();
+  try {
+    const auto stats = fn(collector.get());
+    outcome.time = stats.sim_time;
+    outcome.peak = stats.node_peak;
+    outcome.shuffled = stats.shuffle_bytes;
+    if (spilled != nullptr && spilled->load()) {
+      outcome.status = Outcome::Status::kSpilled;
+    }
+  } catch (const mutil::OutOfMemoryError& e) {
+    outcome.status = Outcome::Status::kOom;
+    outcome.detail = e.what();
+  } catch (const mutil::Error& e) {
+    outcome.status = Outcome::Status::kError;
+    outcome.detail = e.what();
+  }
+  if (report != nullptr) {
+    outcome.profile =
+        std::make_shared<const stats::Summary>(collector->summary());
+    report->add_run(label, outcome, *collector);
+  }
+  return outcome;
 }
 
 }  // namespace
@@ -47,116 +77,21 @@ std::string RunLabel::text() const {
 Outcome run_config(int nranks, const simtime::MachineProfile& machine,
                    pfs::FileSystem& fs, const BenchFn& fn,
                    const RunLabel& label) {
-  Outcome outcome;
-  Report* report = Report::active();
-  std::unique_ptr<stats::Collector> collector;
-  if (report != nullptr) collector = std::make_unique<stats::Collector>();
   std::atomic<bool> spilled{false};
-  try {
-    const auto stats = simmpi::run(
-        nranks, machine, fs,
-        [&](simmpi::Context& ctx) {
-          if (fn(ctx)) spilled.store(true, std::memory_order_relaxed);
-        },
-        collector.get());
-    outcome.time = stats.sim_time;
-    outcome.peak = stats.node_peak;
-    outcome.shuffled = stats.shuffle_bytes;
-    outcome.status =
-        spilled.load() ? Outcome::Status::kSpilled : Outcome::Status::kOk;
-  } catch (const mutil::OutOfMemoryError& e) {
-    outcome.status = Outcome::Status::kOom;
-    outcome.detail = e.what();
-  } catch (const mutil::Error& e) {
-    outcome.status = Outcome::Status::kError;
-    outcome.detail = e.what();
-  }
-  if (report != nullptr) {
-    outcome.profile =
-        std::make_shared<const stats::Summary>(collector->summary());
-    report->add_run(label, outcome, *collector);
-  }
-  return outcome;
-}
-
-Outcome run_repeated(int nranks, const simtime::MachineProfile& machine,
-                     pfs::FileSystem& fs, int reps, const RepeatFn& fn,
-                     const RunLabel& label) {
-  Outcome outcome;
-  Report* report = Report::active();
-  std::unique_ptr<stats::Collector> collector;
-  if (report != nullptr) collector = std::make_unique<stats::Collector>();
-  std::atomic<bool> spilled{false};
-  // Simulated start time of the measured (last) repetition; every rank
-  // reaches it through the same barrier, so rank 0's value is the
-  // job-wide one.
-  std::atomic<double> measured_start{0.0};
-  try {
-    const auto stats = simmpi::run(
-        nranks, machine, fs,
-        [&](simmpi::Context& ctx) {
-          for (int rep = 0; rep < reps; ++rep) {
-            if (rep == reps - 1 && reps > 1) {
-              ctx.comm.barrier();
-              ctx.tracker.reset_peak();
-              if (ctx.tracker.node() != nullptr &&
-                  ctx.rank() % ctx.machine.ranks_per_node == 0) {
-                ctx.tracker.node()->reset_peak();
-              }
-              ctx.comm.barrier();
-              if (ctx.rank() == 0) {
-                measured_start.store(ctx.clock().now(),
-                                     std::memory_order_relaxed);
-              }
-            }
-            if (fn(ctx, rep)) spilled.store(true, std::memory_order_relaxed);
-          }
-        },
-        collector.get());
-    outcome.time = stats.sim_time - measured_start.load();
-    outcome.peak = stats.node_peak;
-    outcome.shuffled = stats.shuffle_bytes;
-    outcome.status =
-        spilled.load() ? Outcome::Status::kSpilled : Outcome::Status::kOk;
-  } catch (const mutil::OutOfMemoryError& e) {
-    outcome.status = Outcome::Status::kOom;
-    outcome.detail = e.what();
-  } catch (const mutil::Error& e) {
-    outcome.status = Outcome::Status::kError;
-    outcome.detail = e.what();
-  }
-  if (report != nullptr) {
-    outcome.profile =
-        std::make_shared<const stats::Summary>(collector->summary());
-    report->add_run(label, outcome, *collector);
-  }
-  return outcome;
+  return run_enveloped(
+      [&](stats::Collector* collector) {
+        return simmpi::run(
+            nranks, machine, fs,
+            [&](simmpi::Context& ctx) {
+              if (fn(ctx)) spilled.store(true, std::memory_order_relaxed);
+            },
+            collector);
+      },
+      &spilled, label);
 }
 
 Outcome run_driver(const DriverFn& fn, const RunLabel& label) {
-  Outcome outcome;
-  Report* report = Report::active();
-  std::unique_ptr<stats::Collector> collector;
-  if (report != nullptr) collector = std::make_unique<stats::Collector>();
-  try {
-    const auto stats = fn(collector.get());
-    outcome.time = stats.sim_time;
-    outcome.peak = stats.node_peak;
-    outcome.shuffled = stats.shuffle_bytes;
-    outcome.status = Outcome::Status::kOk;
-  } catch (const mutil::OutOfMemoryError& e) {
-    outcome.status = Outcome::Status::kOom;
-    outcome.detail = e.what();
-  } catch (const mutil::Error& e) {
-    outcome.status = Outcome::Status::kError;
-    outcome.detail = e.what();
-  }
-  if (report != nullptr) {
-    outcome.profile =
-        std::make_shared<const stats::Summary>(collector->summary());
-    report->add_run(label, outcome, *collector);
-  }
-  return outcome;
+  return run_enveloped(fn, nullptr, label);
 }
 
 void Report::init(const std::string& figure, const mutil::Config& cfg) {
@@ -354,10 +289,6 @@ mutil::Config parse_cli(int argc, char** argv) {
     if (std::strchr(argv[i], '=') != nullptr) args.emplace_back(argv[i]);
   }
   auto cfg = mutil::Config::from_args(args);
-  if (cfg.contains("mimir.log_level")) {
-    mutil::set_log_level(
-        mutil::parse_log_level(cfg.get_string("mimir.log_level", "warn")));
-  }
   if (cfg.get_bool("mimir.check", false) || cfg.get_bool("mimir.race", false)) {
     check::enable_global(check::CheckConfig::from(cfg));
   }

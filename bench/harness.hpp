@@ -63,35 +63,21 @@ struct RunLabel {
   std::string text() const;  ///< "app / x / series" (skipping empties)
 };
 
-/// Run one configuration, translating OOM/usage errors into statuses.
-/// While a Report is active the run is profiled and recorded under
-/// `label`.
+/// Run one configuration, translating OOM/usage errors into statuses;
+/// a run in which any rank's `fn` returned true is kSpilled. While a
+/// Report is active the run is profiled and recorded under `label`.
 Outcome run_config(int nranks, const simtime::MachineProfile& machine,
                    pfs::FileSystem& fs, const BenchFn& fn,
                    const RunLabel& label = {});
 
-/// Body of one repetition; `rep` counts from 0. Return true on spill.
-using RepeatFn = std::function<bool(simmpi::Context&, int rep)>;
-
-/// Run `fn` `reps` times inside ONE simmpi::run, resetting every
-/// peak-memory high-water mark (rank trackers and node budgets) between
-/// the warm-up repetitions and the last one, so the reported peak and
-/// time measure the final repetition alone. With reps == 1 this is
-/// run_config. The reset is bracketed by barriers, so no rank is still
-/// allocating while the marks move.
-Outcome run_repeated(int nranks, const simtime::MachineProfile& machine,
-                     pfs::FileSystem& fs, int reps, const RepeatFn& fn,
-                     const RunLabel& label = {});
-
 /// A driver that owns its own simmpi::run invocation (recovery loops,
 /// sched::run_graph, multi-job pipelines). It receives the profiling
 /// collector (nullptr while reporting is off) to pass through to its
-/// runner and returns the stats it wants recorded. Spill reporting is
-/// the driver's business — set Outcome::Status::kSpilled via the
-/// returned stats' io fields only if it matters to the figure.
+/// runner and returns the stats it wants recorded.
 using DriverFn = std::function<simmpi::JobStats(stats::Collector*)>;
 
 /// run_config for custom drivers: same error envelope and report point.
+/// A driver's run is never kSpilled: it is kOk unless it throws.
 Outcome run_driver(const DriverFn& fn, const RunLabel& label = {});
 
 /// Scale helper: our bytes -> the paper's label (x1024), e.g. 1M -> "1G".
@@ -133,7 +119,7 @@ class Report {
 
   bool trace_enabled() const noexcept { return trace_; }
 
-  /// Record one profiled run (called by run_config).
+  /// Record one profiled run (called by run_config and run_driver).
   void add_run(const RunLabel& label, const Outcome& outcome,
                const stats::Collector& collector);
 
@@ -179,8 +165,8 @@ class Report {
   stats::TraceWriter trace_writer_;
 };
 
-/// Parse trailing key=value CLI arguments into a Config; applies a
-/// mimir.log_level=debug|info|warn|error override to the global logger.
+/// Parse trailing key=value CLI arguments into a Config; mimir.check=1
+/// or mimir.race=1 enables the process-global checker.
 mutil::Config parse_cli(int argc, char** argv);
 
 /// true unless "quick=0" / "full=1" style flags say otherwise; quick mode

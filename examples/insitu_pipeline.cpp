@@ -19,6 +19,7 @@
 //
 // Usage: ./insitu_pipeline [steps=4] [particles=100000]
 //                          [concurrency=1] [budget=<bytes, 0=node mem>]
+//                          [mimir.<key>=<value>...]
 #include <algorithm>
 #include <array>
 #include <cmath>
@@ -69,7 +70,8 @@ int main(int argc, char** argv) {
   const auto particles =
       static_cast<std::uint64_t>(cfg.get_int("particles", 100000));
 
-  mimir::JobConfig hist_cfg;
+  // mimir.* keys (e.g. mimir.balance=1) apply to both nodes of every step.
+  mimir::JobConfig hist_cfg = mimir::JobConfig::from(cfg);
   hist_cfg.hint = mimir::KVHint::fixed(8, 8);  // bin id -> count
   hist_cfg.kv_compression = true;              // combine before shuffle
 

@@ -7,13 +7,18 @@ Usage:
 Points are matched by their (app, x, series) sweep coordinates. For every
 matched point the tool compares:
 
-  * sim_time       (relative threshold, --time-pct)
-  * node_peak      (relative threshold, --mem-pct)
-  * rank_peak      (relative threshold, --mem-pct): the worst single
-    rank's memory high-water; only present when the point carries a
-    stats profile. Baselines written before the metric existed simply
-    lack the field — the diff reports "n/a" and moves on.
-  * shuffle_bytes  (relative threshold, --shuffle-pct)
+  * sim_time, shuffle_bytes and rank_peak (the worst single rank's
+    memory high-water, present when the point carries a stats profile)
+    exactly: at a relative tolerance of 1e-9 (the JSON prints about 12
+    significant digits) they must match in either direction. A field
+    only one of the two documents carries fails the diff.
+  * seconds, wait_seconds, mem_peak, io_wait_seconds and
+    io_hidden_seconds of every phase the baseline point carries,
+    exactly; a phase field a document lacks counts as 0. A phase only
+    the candidate has is listed but never fails the diff; a baseline
+    phase the candidate lacks does.
+  * node_peak      (relative threshold, --mem-pct): it follows the
+    interleaving of the rank threads.
   * wait fraction  (absolute threshold, --wait-abs): the run's total
     collective wait divided by nranks * sim_time, i.e. the mean share of
     rank time spent blocked in collectives. Only computed when both
@@ -32,23 +37,13 @@ matched point the tool compares:
     stats section existed simply lack it: the diff reports "n/a" for
     both io metrics and never fails on them.
 
---exact turns the gate for deterministic simulated numbers exact: at
-a relative tolerance of 1e-9 (the JSON prints about 12 significant
-digits) sim_time, shuffle_bytes and rank_peak must match in either
-direction, and so must seconds, wait_seconds, mem_peak,
-io_wait_seconds and io_hidden_seconds of every phase the baseline
-point carries; a phase field a document lacks counts as 0. A phase
-only the candidate has is listed but never fails the diff; a baseline
-phase the candidate lacks does, and so does a point field that only
-one of the two documents carries. node_peak keeps --mem-pct, because
-it follows the interleaving of the rank threads.
-
 A point whose status degrades (ok/spill -> oom/err) is always a
 regression; a baseline point missing from the candidate is too. New
-points in the candidate are reported but never fail the diff. A metric
-that is zero or absent in the baseline has no meaningful relative
-change: it is reported as "n/a" and never counts as a regression (the
-presence checks above still guard the point itself).
+points in the candidate are reported but never fail the diff. A
+node_peak or io_hidden_seconds that is zero or absent in the baseline
+has no meaningful relative change: it is reported as "n/a" and never
+counts as a regression (the presence checks above still guard the
+point itself).
 
 --require NAME=VALUE (repeatable) asserts a flag in the candidate's
 top-level "flags" object — e.g. `--require race_checked=false` lets a
@@ -58,10 +53,6 @@ must describe the configuration it claims to). Values compare as
 strings after lowercasing, so booleans are written true/false.
 
 Exit codes: 0 = no regression, 1 = regression found, 2 = usage error.
-Simulated times and shuffle volume are deterministic, so those compare
-exactly; node peaks of workloads that run rank groups concurrently
-depend on real thread interleaving, which is what the memory threshold
-absorbs.
 """
 
 import argparse
@@ -120,14 +111,11 @@ def io_stats(point):
 
 
 def rel_change(base, cand):
-    if base == 0:
-        return 0.0 if cand == 0 else float("inf")
+    """Relative change against a non-zero baseline."""
     return (cand - base) / base
 
 
 def fmt_pct(x):
-    if x == float("inf"):
-        return "+inf"
     return f"{x * 100:+.2f}%"
 
 
@@ -136,7 +124,7 @@ def exact_equal(base, cand):
 
 
 def exact_phase_diffs(base, cand):
-    """--exact: yields (metric, text, regressed) for every baseline phase
+    """Yields (metric, text, regressed) for every baseline phase
     field the candidate does not match, and for every phase only the
     candidate has (listed, never a regression)."""
     b_phases = base.get("stats", {}).get("phases", {})
@@ -162,13 +150,8 @@ def main(argv=None):
         description="Diff two BENCH_*.json files for regressions.")
     parser.add_argument("baseline")
     parser.add_argument("candidate")
-    parser.add_argument("--time-pct", type=float, default=5.0,
-                        help="allowed sim_time increase, percent (default 5)")
     parser.add_argument("--mem-pct", type=float, default=5.0,
                         help="allowed node_peak increase, percent (default 5)")
-    parser.add_argument("--shuffle-pct", type=float, default=5.0,
-                        help="allowed shuffle_bytes increase, percent "
-                             "(default 5)")
     parser.add_argument("--wait-abs", type=float, default=0.05,
                         help="allowed wait-fraction increase, absolute "
                              "(default 0.05)")
@@ -181,11 +164,6 @@ def main(argv=None):
     parser.add_argument("--io-hidden-pct", type=float, default=25.0,
                         help="allowed io_hidden_seconds DECREASE, percent "
                              "(default 25)")
-    parser.add_argument("--exact", action="store_true",
-                        help="compare sim_time, shuffle_bytes, rank_peak "
-                             "and every baseline phase's seconds, "
-                             "wait_seconds, mem_peak, io_wait_seconds and "
-                             "io_hidden_seconds exactly")
     parser.add_argument("--require", action="append", default=[],
                         metavar="NAME=VALUE",
                         help="assert candidate flags[NAME] == VALUE "
@@ -197,8 +175,8 @@ def main(argv=None):
         if not sep or not name:
             parser.error(f"--require needs NAME=VALUE, got {spec!r}")
         requirements.append((name, value))
-    for name in ("time_pct", "mem_pct", "shuffle_pct", "wait_abs",
-                 "imbalance_abs", "io_wait_abs", "io_hidden_pct"):
+    for name in ("mem_pct", "wait_abs", "imbalance_abs", "io_wait_abs",
+                 "io_hidden_pct"):
         if getattr(args, name) < 0:
             parser.error(f"--{name.replace('_', '-')} must be >= 0")
 
@@ -251,41 +229,36 @@ def main(argv=None):
         if c_status not in RUNNABLE:
             continue
 
-        for metric, field, pct in (("sim_time", "sim_time", args.time_pct),
-                                   ("node_peak", "node_peak", args.mem_pct),
-                                   ("rank_peak", "rank_peak", args.mem_pct),
-                                   ("shuffle_bytes", "shuffle_bytes",
-                                    args.shuffle_pct)):
-            b_val, c_val = base.get(field, 0), cand.get(field, 0)
+        for field in ("sim_time", "rank_peak", "shuffle_bytes"):
             if field not in base and field not in cand:
                 continue  # metric predates both documents (e.g. rank_peak)
-            if args.exact and field != "node_peak":
-                if field not in base:
-                    note(key, metric,
-                         f"absent from baseline; candidate {c_val} (exact)",
-                         True)
-                elif not exact_equal(b_val, c_val):
-                    note(key, metric, f"{b_val} -> {c_val} (exact)", True)
-                continue
-            if field not in base or b_val == 0:
-                # A relative threshold is meaningless against a zero or
-                # absent baseline: report the value, never fail on it.
-                why = ("absent from baseline" if field not in base
-                       else "baseline is 0")
-                if c_val != 0 or field not in base:
-                    note(key, metric,
-                         f"n/a ({why}; candidate {c_val})", False)
-                continue
-            change = rel_change(b_val, c_val)
-            over = change * 100.0 > pct
-            if over or change != 0.0:
-                note(key, metric,
-                     f"{b_val} -> {c_val} "
-                     f"({fmt_pct(change)}, limit +{pct:g}%)", over)
+            b_val, c_val = base.get(field, 0), cand.get(field, 0)
+            if field not in base:
+                note(key, field,
+                     f"absent from baseline; candidate {c_val} (exact)", True)
+            elif not exact_equal(b_val, c_val):
+                note(key, field, f"{b_val} -> {c_val} (exact)", True)
 
-        if args.exact:
-            for metric, text, regressed in exact_phase_diffs(base, cand):
-                note(key, metric, text, regressed)
+        b_peak, c_peak = base.get("node_peak", 0), cand.get("node_peak", 0)
+        if "node_peak" not in base or b_peak == 0:
+            # A relative threshold is meaningless against a zero or
+            # absent baseline: report the value, never fail on it.
+            if "node_peak" not in base:
+                note(key, "node_peak",
+                     f"n/a (absent from baseline; candidate {c_peak})", False)
+            elif c_peak != 0:
+                note(key, "node_peak",
+                     f"n/a (baseline is 0; candidate {c_peak})", False)
+        else:
+            change = rel_change(b_peak, c_peak)
+            over = change * 100.0 > args.mem_pct
+            if over or change != 0.0:
+                note(key, "node_peak",
+                     f"{b_peak} -> {c_peak} "
+                     f"({fmt_pct(change)}, limit +{args.mem_pct:g}%)", over)
+
+        for metric, text, regressed in exact_phase_diffs(base, cand):
+            note(key, metric, text, regressed)
 
         b_wait, c_wait = wait_fraction(base), wait_fraction(cand)
         if b_wait is not None and c_wait is not None:

@@ -4,7 +4,7 @@
 Checks (kept cheap so they run on every test invocation):
   * every C++ header under src/ carries `#pragma once`
   * no `std::cout` / `std::cerr` outside bench/, examples/, and tools —
-    library code must report through mutil::logging or check::Report
+    library code must report through check::Report
   * no naked `new` / `delete` in src/core — container memory must flow
     through memtrack::TrackedBuffer so the lifecycle auditor sees it
 
@@ -61,7 +61,7 @@ def main() -> int:
             if COUT_RE.search(line):
                 problems.append(
                     f"{path.relative_to(REPO)}:{lineno}: std::cout/cerr in "
-                    "library code (use mutil logging)"
+                    "library code (report through check::Report)"
                 )
 
     for path in cpp_files(NAKED_NEW_DIRS, (".hpp", ".h", ".cpp")):

@@ -17,9 +17,9 @@ the default is examples/ and src/apps/ relative to the repo root.
 A finding is a lambda whose capture list contains `&` appearing in the
 argument region of a *sink*:
 
-  * rank-body runners: simmpi::run, run_test, run_config, run_repeated,
-    run_driver, run_attempts, run_with_recovery, run_with_retry,
-    run_graph, run_graph_with_recovery
+  * rank-body runners: simmpi::run, run_test, run_config, run_driver,
+    run_attempts, run_with_recovery, run_with_retry, run_graph,
+    run_graph_with_recovery
   * sched callback slots: assignments to .producer / .kv_map / .reduce /
     .partial / .consume / .make_state
   * with --strict, also per-job map/reduce callbacks (job.map_custom,
@@ -50,7 +50,6 @@ CALL_SINKS = [
     r"simmpi\s*::\s*run",
     r"\brun_test",
     r"\brun_config",
-    r"\brun_repeated",
     r"\brun_driver",
     r"\brun_attempts",
     r"\brun_with_recovery",

@@ -84,14 +84,6 @@ class Csr {
   /// Number of vertices with at least one neighbour.
   std::uint64_t vertices() const { return index_.size(); }
 
-  /// Visit every (vertex, Range) pair.
-  template <typename Fn>
-  void for_each_vertex(Fn&& fn) const {
-    index_.for_each([&](std::uint64_t v, const Range& e) {
-      fn(v, e.degree);
-    });
-  }
-
  private:
   memtrack::Tracker* tracker_;
   VertexMap<Range> index_;

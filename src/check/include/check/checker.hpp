@@ -165,9 +165,7 @@ class LifecycleAuditor final : public memtrack::AllocObserver {
   /// with the phase that allocated it) and any residual charge balance.
   void final_audit(const memtrack::Tracker& tracker);
 
-  std::uint64_t live_page_bytes() const noexcept { return live_bytes_; }
   std::size_t live_pages() const noexcept { return live_.size(); }
-  std::int64_t charge_balance() const noexcept { return balance_; }
 
  private:
   struct PageInfo {

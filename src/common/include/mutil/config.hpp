@@ -6,9 +6,6 @@
 // Mimir accepted environment variables.
 //
 // Process-wide keys honored by the drivers (bench::parse_cli):
-//   * mimir.log_level = debug|info|warn|error — global mutil logging
-//     threshold (the benchmark default is warn, keeping tables clean);
-//     see mutil/logging.hpp.
 //   * stats=1, trace=1, bench_dir=<path> — machine-readable bench
 //     metrics and Chrome trace output; see bench/harness.hpp.
 #pragma once

@@ -27,14 +27,6 @@
 
 namespace mimir {
 
-/// Per-rank shard metadata stored alongside the data.
-struct CheckpointInfo {
-  KVHint hint;
-  std::uint64_t num_kvs = 0;
-  std::uint64_t data_bytes = 0;
-  int ranks = 0;  ///< world size at save time (must match at load)
-};
-
 /// Write this rank's shard of `kvc` under checkpoint `name`.
 /// Collective; all ranks must call it with the same name. With
 /// `write_behind` (mimir.prefetch), shard writes enqueue against the

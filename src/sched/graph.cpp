@@ -152,9 +152,6 @@ GraphOptions GraphOptions::from(const mutil::Config& cfg) {
       cfg.get_string("mimir.sched.checkpoint_prefix", opts.checkpoint_prefix);
   opts.keep_checkpoints =
       cfg.get_bool("mimir.sched.keep_checkpoints", opts.keep_checkpoints);
-  if (cfg.contains("mimir.sched.balance")) {
-    opts.balance = cfg.get_bool("mimir.sched.balance", false) ? 1 : 0;
-  }
   if (opts.max_concurrency < 1) {
     throw mutil::ConfigError("mimir.sched.max_concurrency must be >= 1");
   }

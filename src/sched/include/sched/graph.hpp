@@ -155,11 +155,6 @@ struct GraphOptions {
   bool checkpoint = false;
   std::string checkpoint_prefix = "sched";
   bool keep_checkpoints = false;
-  /// Skew-aware load balancing override for every node in the graph:
-  /// -1 keeps each node's own config.balance.enabled, 0/1 forces it off
-  /// or on graph-wide. Safe for any node — the balance merge pass
-  /// restores the original key placement before outputs are consumed.
-  int balance = -1;
   /// Per-rank session state, created at the start of every attempt and
   /// surfaced via NodeCtx::state. Consume hooks must rebuild all state
   /// they own from node outputs, so a resumed attempt reconstructs it.
@@ -168,7 +163,7 @@ struct GraphOptions {
   std::function<void(NodeCtx&)> epilogue;
 
   /// Parse "mimir.sched.*" keys (memory_budget, max_concurrency,
-  /// checkpoint, checkpoint_prefix, keep_checkpoints, balance).
+  /// checkpoint, checkpoint_prefix, keep_checkpoints).
   static GraphOptions from(const mutil::Config& cfg);
 };
 

@@ -23,9 +23,6 @@ struct ExecControl {
   bool checkpoint = false;
   std::string prefix;
   bool keep_checkpoints = false;
-  /// Graph-wide skew-balance override (-1 inherit node config, 0/1
-  /// force off/on); mirrors GraphOptions::balance.
-  int balance = -1;
   /// Per node id: the last attempt that restored it from its checkpoint
   /// (0 = none). Null under run_in, which runs attempt 1 only.
   std::vector<std::atomic<int>>* resumed_at = nullptr;
@@ -72,9 +69,6 @@ void run_group(simmpi::Context& exec, simmpi::Context& world,
           cfg.ooc_live_bytes == 0
               ? attempt.live_budget
               : std::min(cfg.ooc_live_bytes, attempt.live_budget);
-    }
-    if (ctl.balance >= 0) {
-      cfg.balance.enabled = ctl.balance != 0;
     }
 
     const std::string ckpt = node_checkpoint(ctl.prefix, id);
@@ -263,7 +257,6 @@ GraphOutcome execute(int nranks, const simtime::MachineProfile& machine,
   ctl.checkpoint = checkpoint;
   ctl.prefix = policy.checkpoint;
   ctl.keep_checkpoints = policy.keep_checkpoint;
-  ctl.balance = options.balance;
   ctl.resumed_at = &resumed_at;
 
   // The degradation ladder bottoms out when halving again would drop
@@ -320,7 +313,6 @@ void run_in(simmpi::Context& ctx, const Graph& graph,
   ctl.checkpoint = options.checkpoint;
   ctl.prefix = options.checkpoint_prefix;
   ctl.keep_checkpoints = options.keep_checkpoints;
-  ctl.balance = options.balance;
   run_rank(ctx, graph, plan_graph(graph, ctx.size(), ctx.machine, options),
            options, ctl, mimir::Attempt{});
 }

@@ -207,7 +207,6 @@ void Communicator::rendezvous(const check::CollectiveFingerprint& shape,
   checked_wait(what);
   clock_->set(t + s.collective_latency() + transfer);
   note_wait(entry, t);
-  ++stats_.collectives;
 }
 
 void Communicator::barrier() {
@@ -587,7 +586,6 @@ Request Communicator::nb_join(check::CollectiveFingerprint shape,
     check_announce(op.fps, shape, part.clock);
     if (++op.arrived == s.nranks) nb_complete_locked(s, key, op);
   }
-  ++stats_.collectives;
   return Request(this, key, alltoallv, send_base, recv_base);
 }
 

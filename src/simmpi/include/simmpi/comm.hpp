@@ -49,7 +49,6 @@ struct GatherResult {
 struct CommStats {
   std::uint64_t bytes_sent = 0;      ///< collective payload out
   std::uint64_t bytes_received = 0;  ///< collective payload in
-  std::uint64_t collectives = 0;     ///< collective operations entered
 };
 
 class Communicator;

@@ -1,13 +1,13 @@
 #include "simmpi/runtime.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <memory>
 #include <optional>
 #include <thread>
 
 #include "check/checker.hpp"
 #include "check/race.hpp"
-#include "mutil/logging.hpp"
 #include "shared_state.hpp"
 #include "stats/registry.hpp"
 #include "stats/trace.hpp"
@@ -77,10 +77,6 @@ JobStats run(int nranks, const simtime::MachineProfile& machine,
     threads.emplace_back([&, r] {
       Context ctx{*comms[static_cast<std::size_t>(r)],
                   *trackers[static_cast<std::size_t>(r)], fs, machine};
-      // Attribute this thread's log lines to the rank and its simulated
-      // clock for the duration of the rank function.
-      const mutil::ScopedLogContext log_context(
-          {r, [&ctx] { return ctx.clock().now(); }});
       std::optional<stats::ScopedBind> stats_bind;
       if (collector != nullptr) {
         stats::Registry& registry = collector->rank(r);
@@ -129,7 +125,7 @@ JobStats run(int nranks, const simtime::MachineProfile& machine,
         --diagnostics_before;
         continue;
       }
-      mutil::log_warn("mimir-check: ", d.text());
+      std::fprintf(stderr, "[WARN] mimir-check: %s\n", d.text().c_str());
     }
   }
 

@@ -25,7 +25,6 @@
 #include "mutil/config.hpp"
 #include "mutil/error.hpp"
 #include "mutil/hash.hpp"
-#include "sched/graph.hpp"
 #include "simmpi/runtime.hpp"
 #include "stats/trace.hpp"
 
@@ -300,17 +299,6 @@ TEST(BalanceOptions, ConfigKeysParseAndValidate) {
   EXPECT_THROW(Options::from(mutil::Config::from_args(
                    {"mimir.balance.split_threshold=0"})),
                mutil::ConfigError);
-}
-
-TEST(BalanceOptions, SchedGraphKnobMapsToTriState) {
-  sched::GraphOptions def = sched::GraphOptions::from(mutil::Config{});
-  EXPECT_EQ(def.balance, -1);  // absent: inherit per-job configs
-  sched::GraphOptions on = sched::GraphOptions::from(
-      mutil::Config::from_args({"mimir.sched.balance=1"}));
-  EXPECT_EQ(on.balance, 1);
-  sched::GraphOptions off = sched::GraphOptions::from(
-      mutil::Config::from_args({"mimir.sched.balance=0"}));
-  EXPECT_EQ(off.balance, 0);
 }
 
 // --- balancer + shuffle ---------------------------------------------------

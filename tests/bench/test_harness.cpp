@@ -1,5 +1,5 @@
 // Bench harness behaviors that tests can pin down without running a
-// full figure: repeated-run peak isolation and schema-2 report fields.
+// full figure: the error envelope's status mapping.
 #include "harness.hpp"
 
 #include <gtest/gtest.h>
@@ -8,77 +8,22 @@
 
 namespace {
 
-simtime::MachineProfile two_per_node() {
+TEST(RunConfig, SpillAndOomStatusesSurvive) {
   auto machine = simtime::MachineProfile::test_profile();
   machine.ranks_per_node = 2;
-  return machine;
-}
-
-TEST(RunRepeated, LastRepetitionPeakIsIndependentOfWarmup) {
-  // Rep 0 spikes 1 MB per rank; rep 1 allocates 1 KB. The reported peak
-  // must reflect the measured (last) repetition only — the warm-up
-  // high-water mark is reset away.
-  const auto machine = two_per_node();
-  pfs::FileSystem fs(machine, 2);
-  const auto outcome = bench::run_repeated(
-      2, machine, fs, 2,
-      [](simmpi::Context& ctx, int rep) {
-        const std::size_t bytes = rep == 0 ? (1u << 20) : (1u << 10);
-        const memtrack::TrackedBuffer buf(ctx.tracker, bytes);
-        ctx.clock().advance(1.0);
-        ctx.comm.barrier();
-        return false;
-      });
-  ASSERT_TRUE(outcome.ok());
-  EXPECT_GE(outcome.peak, 1u << 10);
-  EXPECT_LE(outcome.peak, 4u << 10) << "warm-up spike leaked into peak";
-}
-
-TEST(RunRepeated, TimeCoversOnlyTheMeasuredRepetition) {
-  const auto machine = two_per_node();
-  pfs::FileSystem fs(machine, 2);
-  const auto outcome = bench::run_repeated(
-      2, machine, fs, 3,
-      [](simmpi::Context& ctx, int) {
-        ctx.clock().advance(1.0);
-        ctx.comm.barrier();
-        return false;
-      });
-  ASSERT_TRUE(outcome.ok());
-  // Three reps ran (total simulated time >= 3s) but the measurement is
-  // the last one: ~1s plus collective latency, not ~3s.
-  EXPECT_GE(outcome.time, 1.0);
-  EXPECT_LT(outcome.time, 2.0);
-}
-
-TEST(RunRepeated, SingleRepetitionMeasuresTheWholeRun) {
-  const auto machine = two_per_node();
-  pfs::FileSystem fs(machine, 2);
-  const auto outcome = bench::run_repeated(
-      2, machine, fs, 1,
-      [](simmpi::Context& ctx, int) {
-        ctx.clock().advance(2.0);
-        return false;
-      });
-  ASSERT_TRUE(outcome.ok());
-  EXPECT_GE(outcome.time, 2.0);
-}
-
-TEST(RunRepeated, SpillAndOomStatusesSurvive) {
-  const auto machine = two_per_node();
   {
-    pfs::FileSystem fs(machine, 1);
-    const auto outcome = bench::run_repeated(
-        1, machine, fs, 2,
-        [](simmpi::Context&, int rep) { return rep == 0; });
+    pfs::FileSystem fs(machine, 2);
+    const auto outcome = bench::run_config(
+        2, machine, fs,
+        [](simmpi::Context& ctx) { return ctx.rank() == 0; });
     EXPECT_EQ(outcome.status, bench::Outcome::Status::kSpilled);
   }
   auto limited = machine;
   limited.node_memory = 1 << 10;
   pfs::FileSystem fs(limited, 1);
-  const auto outcome = bench::run_repeated(
-      1, limited, fs, 2,
-      [](simmpi::Context& ctx, int) {
+  const auto outcome = bench::run_config(
+      1, limited, fs,
+      [](simmpi::Context& ctx) {
         const memtrack::TrackedBuffer buf(ctx.tracker, 1 << 20);
         return false;
       });

@@ -323,6 +323,7 @@ TEST(CheckDeadlock, ReleasedWaiterIsNotAStallUntilItBlocksAgain) {
 TEST(CheckLifecycle, LeakedContainerPageIsReportedWithPhase) {
   Report report;
   JobChecker checker(report);
+  testing::internal::CaptureStderr();
   simmpi::run_test(
       2,
       [](Context& ctx) {
@@ -340,12 +341,17 @@ TEST(CheckLifecycle, LeakedContainerPageIsReportedWithPhase) {
         leaked->append("key", "value");
       },
       nullptr, &checker);
+  const std::string err = testing::internal::GetCapturedStderr();
 
   ASSERT_EQ(report.count("page-leak"), 1u);
   const Diagnostic d = report.first("page-leak");
   EXPECT_EQ(d.ranks, std::vector<int>{0});
   EXPECT_EQ(d.phase, "map");
   EXPECT_NE(d.message.find("phase 'map'"), std::string::npos);
+  // simmpi::run prints each new diagnostic once, after the join.
+  EXPECT_NE(err.find("[WARN] mimir-check: " + d.text() + "\n"),
+            std::string::npos)
+      << err;
 }
 
 TEST(CheckLifecycle, CleanJobAuditsClean) {
