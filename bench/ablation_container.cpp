@@ -37,22 +37,25 @@ int main(int argc, char** argv) {
     opts.files = files;
     opts.page_size = page;
     opts.comm_buffer = page;
+    const std::string x = mutil::format_size(page);
 
     const auto mimir = bench::run_config(
         ranks, machine, fs,
         [&](simmpi::Context& ctx) {
           return apps::wc::run_mimir(ctx, opts).spilled;
-        });
+        },
+        {"WC (Uniform)", x, "Mimir"});
     const auto mrmpi = bench::run_config(
         ranks, machine, fs,
         [&](simmpi::Context& ctx) {
           return apps::wc::run_mrmpi(ctx, opts).spilled;
-        });
+        },
+        {"WC (Uniform)", x, "MR-MPI"});
     char ratio[32];
     std::snprintf(ratio, sizeof(ratio), "%.2fx",
                   static_cast<double>(mrmpi.peak) /
                       static_cast<double>(mimir.peak));
-    table.row({mutil::format_size(page), bench::Table::mem_cell(mimir),
+    table.row({x, bench::Table::mem_cell(mimir),
                bench::Table::mem_cell(mrmpi), ratio});
   }
   return 0;

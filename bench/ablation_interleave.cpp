@@ -37,8 +37,10 @@ int main(int argc, char** argv) {
   for (const std::uint64_t buffer :
        {256u << 10, 64u << 10, 16u << 10, 4u << 10}) {
     std::atomic<std::uint64_t> rounds{0};
+    const std::string x = mutil::format_size(buffer);
     const auto outcome = bench::run_config(
-        ranks, machine, fs, [&](simmpi::Context& ctx) {
+        ranks, machine, fs,
+        [&](simmpi::Context& ctx) {
           mimir::JobConfig jc;
           jc.comm_buffer = buffer;
           mimir::Job job(ctx, jc);
@@ -48,8 +50,9 @@ int main(int argc, char** argv) {
             rounds.store(job.metrics().exchange_rounds);
           }
           return false;
-        });
-    table.row({mutil::format_size(buffer), std::to_string(rounds.load()),
+        },
+        {"WC (Uniform)", x, "Mimir"});
+    table.row({x, std::to_string(rounds.load()),
                bench::Table::mem_cell(outcome),
                bench::Table::time_cell(outcome)});
   }

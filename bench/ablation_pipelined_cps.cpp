@@ -40,8 +40,11 @@ int main(int argc, char** argv) {
        {std::uint64_t{0}, std::uint64_t{256} << 10, std::uint64_t{64} << 10,
         std::uint64_t{16} << 10, std::uint64_t{4} << 10}) {
     std::atomic<std::uint64_t> combined{0}, shuffled{0};
+    const std::string x =
+        bound == 0 ? "inf (paper)" : mutil::format_size(bound);
     const auto outcome = bench::run_config(
-        ranks, machine, fs, [&](simmpi::Context& ctx) {
+        ranks, machine, fs,
+        [&](simmpi::Context& ctx) {
           mimir::JobConfig jc;
           jc.hint = mimir::KVHint::string_key_u64_value();
           jc.kv_compression = true;
@@ -53,9 +56,9 @@ int main(int argc, char** argv) {
           combined.fetch_add(job.metrics().combined_kvs);
           shuffled.fetch_add(job.metrics().map_emitted_kvs);
           return false;
-        });
-    table.row({bound == 0 ? "inf (paper)" : mutil::format_size(bound),
-               std::to_string(combined.load()),
+        },
+        {"WC (Wikipedia)", x, "Mimir"});
+    table.row({x, std::to_string(combined.load()),
                std::to_string(shuffled.load()),
                bench::Table::mem_cell(outcome),
                bench::Table::time_cell(outcome)});

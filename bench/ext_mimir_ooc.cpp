@@ -46,10 +46,12 @@ int main(int argc, char** argv) {
     gen.num_files = ranks;
     const std::string prefix = "wc-" + std::to_string(size);
     const auto files = apps::wc::generate_uniform(fs, prefix, gen);
+    const std::string x = bench::paper_size(size);
 
-    const auto run_mimir = [&](std::uint64_t ooc) {
+    const auto run_mimir = [&](std::uint64_t ooc, const char* series) {
       return bench::run_config(
-          ranks, machine, fs, [&](simmpi::Context& ctx) {
+          ranks, machine, fs,
+          [&](simmpi::Context& ctx) {
             mimir::JobConfig jc;
             jc.ooc_live_bytes = ooc;
             mimir::Job job(ctx, jc);
@@ -57,22 +59,26 @@ int main(int argc, char** argv) {
             const bool spilled = job.intermediate().spilled();
             job.reduce(apps::wc::reduce_counts);
             return spilled;
-          });
+          },
+          {"WC (Uniform)", x, series});
     };
-    const auto plain = run_mimir(0);
+    const auto plain = run_mimir(0, "Mimir");
     // Budget the live intermediate at ~1/4 of each rank's memory share.
-    const auto ooc = run_mimir(machine.node_memory /
-                               static_cast<std::uint64_t>(4 * ranks));
+    const auto ooc = run_mimir(
+        machine.node_memory / static_cast<std::uint64_t>(4 * ranks),
+        "Mimir(ooc)");
 
     apps::wc::RunOptions mr_opts;
     mr_opts.files = files;
     mr_opts.page_size = 64 << 10;
     const auto mrmpi = bench::run_config(
-        ranks, machine, fs, [&](simmpi::Context& ctx) {
+        ranks, machine, fs,
+        [&](simmpi::Context& ctx) {
           return apps::wc::run_mrmpi(ctx, mr_opts).spilled;
-        });
+        },
+        {"WC (Uniform)", x, "MR-MPI(64M)"});
 
-    table.row({bench::paper_size(size), bench::Table::mem_cell(plain),
+    table.row({x, bench::Table::mem_cell(plain),
                bench::Table::time_cell(plain), bench::Table::mem_cell(ooc),
                bench::Table::time_cell(ooc), bench::Table::mem_cell(mrmpi),
                bench::Table::time_cell(mrmpi)});

@@ -112,11 +112,17 @@ Report::~Report() { write(); }
 
 void Report::add_run(const RunLabel& label, const Outcome& outcome,
                      const stats::Collector& collector) {
+  if (label.text().empty()) {
+    throw mutil::UsageError("bench: " + figure_ +
+                            ": a reported run needs a RunLabel");
+  }
+  if (std::any_of(points_.begin(), points_.end(),
+                  [&](const Point& p) { return p.label == label; })) {
+    throw mutil::UsageError("bench: " + figure_ + ": two runs labelled '" +
+                            label.text() + "'");
+  }
   Point point;
   point.label = label;
-  if (point.label.text().empty()) {
-    point.label.app = "run" + std::to_string(points_.size());
-  }
   point.outcome = outcome;
   point.stats_json = collector.summary().json();
   if (trace_) trace_writer_.add_run(collector, point.label.text());

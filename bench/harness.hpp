@@ -53,14 +53,16 @@ struct Outcome {
 using BenchFn = std::function<bool(simmpi::Context&)>;
 
 /// Sweep coordinates of one run, used to label report points and trace
-/// processes. All fields optional; an unlabelled run is reported as
-/// "run<N>".
+/// processes. Any field may be empty, but not all three, and no two
+/// runs of one figure may share a label: bench_diff.py matches points
+/// by it.
 struct RunLabel {
   std::string app;     ///< benchmark / table group, e.g. "WC (Uniform)"
   std::string x;       ///< x-axis label, e.g. "256M"
   std::string series;  ///< framework config label, e.g. "Mimir"
 
   std::string text() const;  ///< "app / x / series" (skipping empties)
+  bool operator==(const RunLabel&) const = default;
 };
 
 /// Run one configuration, translating OOM/usage errors into statuses;
@@ -68,7 +70,7 @@ struct RunLabel {
 /// Report is active the run is profiled and recorded under `label`.
 Outcome run_config(int nranks, const simtime::MachineProfile& machine,
                    pfs::FileSystem& fs, const BenchFn& fn,
-                   const RunLabel& label = {});
+                   const RunLabel& label);
 
 /// A driver that owns its own simmpi::run invocation (recovery loops,
 /// sched::run_graph, multi-job pipelines). It receives the profiling
@@ -78,7 +80,7 @@ using DriverFn = std::function<simmpi::JobStats(stats::Collector*)>;
 
 /// run_config for custom drivers: same error envelope and report point.
 /// A driver's run is never kSpilled: it is kOk unless it throws.
-Outcome run_driver(const DriverFn& fn, const RunLabel& label = {});
+Outcome run_driver(const DriverFn& fn, const RunLabel& label);
 
 /// Scale helper: our bytes -> the paper's label (x1024), e.g. 1M -> "1G".
 std::string paper_size(std::uint64_t scaled_bytes);
@@ -119,7 +121,9 @@ class Report {
 
   bool trace_enabled() const noexcept { return trace_; }
 
-  /// Record one profiled run (called by run_config and run_driver).
+  /// Record one profiled run (called by run_config and run_driver);
+  /// throws mutil::UsageError on an empty label or one this figure
+  /// already recorded.
   void add_run(const RunLabel& label, const Outcome& outcome,
                const stats::Collector& collector);
 

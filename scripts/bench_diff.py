@@ -4,8 +4,10 @@
 Usage:
     bench_diff.py BASELINE.json CANDIDATE.json [options]
 
-Points are matched by their (app, x, series) sweep coordinates. For every
-matched point the tool compares:
+Points are matched by their (app, x, series) sweep coordinates, which
+must not repeat within a document: a repeated key is a usage error, since
+one of the two points would drop out of the comparison. For every matched
+point the tool compares:
 
   * sim_time, shuffle_bytes and rank_peak (the worst single rank's
     memory high-water, present when the point carries a stats profile)
@@ -75,6 +77,14 @@ def load(path):
     if "points" not in doc:
         print(f"bench_diff: {path} has no points array", file=sys.stderr)
         raise SystemExit(2)
+    seen = set()
+    for point in doc["points"]:
+        key = point_key(point)
+        if key in seen:
+            print(f"bench_diff: {path} repeats point key "
+                  f"{' / '.join(k for k in key if k)!r}", file=sys.stderr)
+            raise SystemExit(2)
+        seen.add(key)
     return doc
 
 

@@ -640,20 +640,22 @@ void Communicator::nb_wait(Request& request) {
     const check::BlockGuard guard(s.checker, check_global_rank(),
                                   nb_wait_name(request.alltoallv_),
                                   request.key_, clock_->now());
-    std::unique_lock lock(s.mutex);
-    const auto it = s.nb_ops.find(request.key_);
-    if (it == s.nb_ops.end()) {
-      if (s.aborted) s.throw_aborted_locked();
-      throw mutil::CommError(
-          "simmpi: wait on an unknown non-blocking request");
+    std::map<std::uint64_t, NbOp>::iterator it;
+    {
+      const std::scoped_lock lock(s.mutex);
+      it = s.nb_ops.find(request.key_);
+      if (it == s.nb_ops.end()) {
+        if (s.aborted) s.throw_aborted_locked();
+        throw mutil::CommError(
+            "simmpi: wait on an unknown non-blocking request");
+      }
     }
     // The entry stays put while the lock is dropped: only this rank's
     // own wait can count the last `waited` and erase it.
     NbOp& op = it->second;
-    s.wait_released(lock, [&] {
-      return op.complete.load(std::memory_order_acquire);
-    });
-    if (!lock.owns_lock()) lock.lock();
+    s.wait_released(
+        [&] { return op.complete.load(std::memory_order_acquire); });
+    const std::scoped_lock lock(s.mutex);
     const NbOp::Part& part = op.parts[static_cast<std::size_t>(rank_)];
     alltoallv = op.kind == check::CollectiveOp::kIalltoallv;
     t_init = part.clock;

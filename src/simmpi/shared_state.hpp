@@ -4,16 +4,19 @@
 //
 // Why the slot table is race-free: every collective is bracketed by
 // barrier_wait() calls on the shared generation barrier, so every
-// pre-entry-barrier slot write synchronizes-with every
-// post-entry-barrier slot read, and no rank writes its slot again until
-// after the exit barrier. A waiter leaves a barrier either through the
-// mutex (it parked on `cv` and re-acquired it) or, while spinning in
-// wait_released(), through an acquire load of `generation`, which the
-// last arrival stored with release semantics while holding the mutex
-// every arrival took; either edge orders every arrival's prior writes
-// before the waiter's reads. The full happens-before argument — and the
-// race detector (mimir-race) that checks user code against the same
-// discipline — lives in DESIGN.md, "Memory model & race detection".
+// pre-entry-barrier slot write happens-before every post-entry-barrier
+// slot read, and no rank writes its slot again until after the exit
+// barrier. An arrival is one acq_rel fetch_add on `arrivals`; those
+// read-modify-writes form a release sequence, so the last arrival's
+// fetch_add acquires every earlier arrival's prior writes. It then
+// stores the next `generation` with release semantics while holding
+// the mutex. A waiter leaves either through an acquire load of
+// `generation` while spinning in wait_released(), or through the mutex
+// it re-acquires in cv.wait after parking; either edge orders every
+// arrival's prior writes before the waiter's reads. The full
+// happens-before argument — and the race detector (mimir-race) that
+// checks user code against the same discipline — lives in DESIGN.md,
+// "Memory model & race detection".
 // The mimir-check fingerprints (check_fps) follow the slot discipline:
 // written by the owner before the entry barrier, read by the
 // communicator's rank 0 between the entry barrier and the verification
@@ -121,12 +124,14 @@ struct SharedState {
   static constexpr int kSpinIterations = 4096;
   static constexpr int kSpinYieldEvery = 64;
 
-  // Global generation barrier. `generation` and `aborted` change only
-  // while holding `mutex`; they are atomic so a spinning waiter can
-  // watch them without it.
+  // Global generation barrier. An arrival takes the next ticket from
+  // `arrivals` without the mutex; ticket t belongs to barrier round
+  // t / nranks, and the round's last ticket releases it. `generation`
+  // (rounds released) and `aborted` change only while holding `mutex`;
+  // they are atomic so a spinning waiter can watch them without it.
   std::mutex mutex;
   std::condition_variable cv;
-  int arrived = 0;
+  std::atomic<std::uint64_t> arrivals{0};
   std::atomic<std::uint64_t> generation{0};
   std::atomic<bool> aborted{false};
   // When the abort cause was a rank death (mutil::RankFailedError),
@@ -199,42 +204,45 @@ struct SharedState {
   /// Request::wait): returns once `released()` holds, or throws the
   /// abort error when the job aborts first. `released` acquire-loads an
   /// atomic that its releaser stores with release semantics while
-  /// holding `mutex`, then wakes `cv`. The waiter first spins with the
-  /// lock dropped for kSpinIterations, yielding every kSpinYieldEvery;
-  /// then it parks on `cv` and re-checks `released` under the lock.
-  /// Enter holding `lock`; on return the lock is held unless the spin
-  /// saw the release.
+  /// holding `mutex`, then wakes `cv`. The waiter checks `released` on
+  /// entry and then spins for kSpinIterations more checks, yielding
+  /// every kSpinYieldEvery, all without the lock; then it parks on `cv`
+  /// and re-checks `released` under the lock. Enter and leave without
+  /// holding `mutex`.
   template <typename Released>
-  void wait_released(std::unique_lock<std::mutex>& lock,
-                     const Released& released) {
-    if (!released()) {
-      lock.unlock();
-      for (int i = 1; i <= kSpinIterations; ++i) {
-        if (released()) return;
-        if (aborted.load(std::memory_order_relaxed)) break;
-        if (i % kSpinYieldEvery == 0) std::this_thread::yield();
-      }
-      lock.lock();
-      cv.wait(lock, [&] { return released() || aborted; });
+  void wait_released(const Released& released) {
+    for (int i = 0; i <= kSpinIterations; ++i) {
+      if (released()) return;
+      if (aborted.load(std::memory_order_relaxed)) break;
+      if (i != 0 && i % kSpinYieldEvery == 0) std::this_thread::yield();
     }
+    std::unique_lock lock(mutex);
+    cv.wait(lock, [&] { return released() || aborted; });
     if (!released()) throw_aborted_locked();
   }
 
   /// Enter the global barrier; throws once aborted (RankFailedError
-  /// when a peer died, CommError otherwise).
+  /// when a peer died, CommError otherwise). Arriving takes no lock:
+  /// the mutex is taken only to publish a release, to park, or to read
+  /// the abort cause.
   void barrier_wait() {
-    std::unique_lock lock(mutex);
-    if (aborted) throw_aborted_locked();
-    const std::uint64_t gen = generation.load(std::memory_order_relaxed);
-    if (++arrived == nranks) {
-      arrived = 0;
+    if (aborted) {
+      const std::scoped_lock lock(mutex);
+      throw_aborted_locked();
+    }
+    const auto n = static_cast<std::uint64_t>(nranks);
+    const std::uint64_t ticket =
+        arrivals.fetch_add(1, std::memory_order_acq_rel);
+    const std::uint64_t gen = ticket / n;
+    if (ticket % n == n - 1) {
+      const std::scoped_lock lock(mutex);
       // Every rank of this communicator waits in this barrier; mark
       // them before the store lets any of them leave it.
       if (checker != nullptr) checker->mark_released(check_ranks);
       generation.store(gen + 1, std::memory_order_release);
       cv.notify_all();
     } else {
-      wait_released(lock, [&] {
+      wait_released([&] {
         return generation.load(std::memory_order_acquire) != gen;
       });
     }

@@ -1,13 +1,15 @@
 // The one wait routine every blocked rank thread goes through
 // (SharedState::wait_released, behind barrier_wait and Request::wait):
-// a waiter spins first and parks on the condition variable once its
-// spin budget runs out. Both ways out must release it with the same
-// results, and an abort must unwind it from either with the same error.
+// a waiter, which enters without the state mutex, spins first and parks
+// on the condition variable once its spin budget runs out. Both ways out
+// must release it with the same results, and an abort must unwind it
+// from either with the same error. A barrier arrival takes no lock.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -34,14 +36,29 @@ constexpr auto kPastSpinBudget = std::chrono::milliseconds(50);
 /// the condition variable's predicate, right before the waiter sleeps.
 constexpr int kChecksBeforePark = SharedState::kSpinIterations + 1;
 
+/// How long a test waits for a step that takes microseconds when the
+/// code under test is right and never happens when it is wrong.
+constexpr auto kStepDeadline = std::chrono::seconds(5);
+
 void wait_for_checks(const std::atomic<int>& checks, int at_least) {
   while (checks.load() < at_least) std::this_thread::yield();
 }
 
+/// Yields until `done()` holds; false if kStepDeadline passes first.
+template <typename Done>
+bool wait_until(const Done& done) {
+  const auto deadline = std::chrono::steady_clock::now() + kStepDeadline;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
 /// Counts the checks of `released` a waiter makes. With `hold` set, it
-/// holds the waiter at its first spin check (the second check, made
-/// with the lock dropped) until `go`, so another thread can release or
-/// abort it while it spins however short the host makes the budget.
+/// holds the waiter at its first spin check (the second check) until
+/// `go`, so another thread can release or abort it while it spins
+/// however short the host makes the budget.
 struct Probe {
   explicit Probe(bool hold_first_spin) : hold(hold_first_spin) {}
 
@@ -67,20 +84,28 @@ void release(SharedState& s, std::atomic<bool>& flag) {
 TEST(WaitReleased, SpinningWaiterLeavesOnTheReleaseStore) {
   SharedState s(2, 0.0, 1.0);
   std::atomic<bool> flag{false};
+  std::atomic<bool> left{false};
+  bool left_while_locked = false;
   Probe probe(/*hold_first_spin=*/true);
+  // The releaser keeps holding the mutex after its store until the
+  // waiter has left, so a waiter that took the lock to leave never
+  // would.
   std::thread releaser([&] {
     wait_for_checks(probe.checks, 2);
-    release(s, flag);
+    const std::scoped_lock lock(s.mutex);
+    flag.store(true, std::memory_order_release);
+    s.cv.notify_all();
     probe.go = true;
+    left_while_locked = wait_until([&] { return left.load(); });
   });
-  std::unique_lock lock(s.mutex);
-  s.wait_released(lock, [&] {
+  s.wait_released([&] {
     probe.check();
     return flag.load(std::memory_order_acquire);
   });
+  left = true;
   releaser.join();
-  // The spin saw the store: the waiter left without re-taking the lock.
-  EXPECT_FALSE(lock.owns_lock());
+  // The spin saw the store: the waiter left on that check, lock-free.
+  EXPECT_TRUE(left_while_locked);
   EXPECT_EQ(probe.checks.load(), 2);
 }
 
@@ -94,14 +119,12 @@ TEST(WaitReleased, ParkedWaiterWakesOnTheNotify) {
     wait_for_checks(probe.checks, kChecksBeforePark + 1);
     release(s, flag);
   });
-  std::unique_lock lock(s.mutex);
-  s.wait_released(lock, [&] {
+  s.wait_released([&] {
     probe.check();
     return flag.load(std::memory_order_acquire);
   });
   releaser.join();
-  // Woken from the condition variable: the lock is held again.
-  EXPECT_TRUE(lock.owns_lock());
+  // Woken from the condition variable: it re-checked after sleeping.
   EXPECT_GT(probe.checks.load(), kChecksBeforePark + 1);
 }
 
@@ -112,9 +135,8 @@ TEST(WaitReleased, AbortUnwindsSpinningAndParkedWaitersWithTheDeadRank) {
   int parked_saw = -1;
   int spinning_saw = -1;
   auto wait = [&s](Probe& probe, int& dead_rank) {
-    std::unique_lock lock(s.mutex);
     try {
-      s.wait_released(lock, [&probe] {
+      s.wait_released([&probe] {
         probe.check();
         return false;
       });
@@ -136,6 +158,31 @@ TEST(WaitReleased, AbortUnwindsSpinningAndParkedWaitersWithTheDeadRank) {
   // The spinning waiter left its spin at the abort, long before its
   // budget ran out.
   EXPECT_LT(spinning.checks.load(), kChecksBeforePark);
+}
+
+// Every arrival is counted while another thread holds the state
+// mutex, so no arrival queues on it. Once the mutex is free, the last
+// arrival releases every waiter, spinning or parked.
+TEST(BarrierWait, ArrivalsAreCountedWhileTheMutexIsHeld) {
+  for (const int n : {2, 3, 5}) {
+    SharedState s(n, 0.0, 1.0);
+    const auto waiters = static_cast<std::uint64_t>(n - 1);
+    std::vector<std::thread> ranks;
+    bool counted = false;
+    {
+      const std::scoped_lock lock(s.mutex);
+      for (std::uint64_t r = 0; r < waiters; ++r) {
+        ranks.emplace_back([&s] { s.barrier_wait(); });
+      }
+      counted = wait_until([&] { return s.arrivals.load() == waiters; });
+      EXPECT_EQ(s.generation.load(), 0u) << n << " ranks";
+    }
+    s.barrier_wait();
+    for (std::thread& rank : ranks) rank.join();
+    EXPECT_TRUE(counted) << n << " ranks";
+    EXPECT_EQ(s.arrivals.load(), waiters + 1) << n << " ranks";
+    EXPECT_EQ(s.generation.load(), 1u) << n << " ranks";
+  }
 }
 
 // Round 0: every rank arrives at once, so the waiters leave while
