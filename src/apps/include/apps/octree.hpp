@@ -27,8 +27,14 @@ struct Point {
   float x, y, z;
 };
 
-/// Morton (bit-interleaved) octant code of `p` at `depth` levels;
-/// coordinates are clamped into [0, 1).
+/// Deepest level a Morton code can hold: 21 bits per axis fill 63 of
+/// its 64 bits. run_mimir, run_mrmpi and reference reject a deeper
+/// max_depth.
+inline constexpr int kMaxDepth = 21;
+
+/// Morton (bit-interleaved) octant code of `p` at `depth` levels
+/// (1..kMaxDepth); coordinates are clamped into [0, 1). A code's parent
+/// is `code >> 3`.
 std::uint64_t octant_code(const Point& p, int depth);
 
 /// Deterministically generate this rank's share of `total` points

@@ -5,6 +5,7 @@
 #include <map>
 #include <unordered_set>
 
+#include "mutil/error.hpp"
 #include "mutil/hash.hpp"
 #include "mutil/random.hpp"
 
@@ -24,8 +25,9 @@ std::uint64_t spread3(std::uint64_t x) {
 }
 
 std::uint64_t quantize(float v, int depth) {
-  const double clamped = std::clamp(static_cast<double>(v), 0.0,
-                                    0x1.fffffep-1);
+  // Clamp into [0, 1); NaN fails `> 0` and lands in cell 0 with -inf.
+  const double c = static_cast<double>(v);
+  const double clamped = c > 0.0 ? std::min(c, 0x1.fffffep-1) : 0.0;
   return static_cast<std::uint64_t>(clamped *
                                     static_cast<double>(1u << depth));
 }
@@ -39,6 +41,16 @@ void combine_counts(std::string_view, std::string_view a,
 
 std::uint64_t level_digest(std::uint64_t code, int depth) {
   return mutil::mix64(code * 31 + static_cast<std::uint64_t>(depth));
+}
+
+/// `max_depth` comes from outside the program (the example's config):
+/// past kMaxDepth distinct octants would share a code.
+void check_depth(const RunOptions& opts) {
+  if (opts.max_depth < 1 || opts.max_depth > kMaxDepth) {
+    throw mutil::ConfigError("octree: max_depth must be in 1.." +
+                             std::to_string(kMaxDepth) + ", got " +
+                             std::to_string(opts.max_depth));
+  }
 }
 
 mimir::KVHint hint_for(const RunOptions& opts) {
@@ -132,6 +144,7 @@ std::vector<Point> generate_points(std::uint64_t total, int rank,
 }
 
 Result reference(const RunOptions& opts) {
+  check_depth(opts);
   const std::vector<Point> points =
       generate_points(opts.num_points, 0, 1, opts.seed, opts.sigma);
   const std::uint64_t threshold = std::max<std::uint64_t>(
@@ -142,11 +155,11 @@ Result reference(const RunOptions& opts) {
   for (int depth = 1; depth <= opts.max_depth; ++depth) {
     std::map<std::uint64_t, std::uint64_t> counts;
     for (const Point& p : points) {
-      if (depth > 1 &&
-          dense.find(octant_code(p, depth - 1)) == dense.end()) {
+      const std::uint64_t code = octant_code(p, depth);
+      if (depth > 1 && dense.find(code >> 3) == dense.end()) {
         continue;  // parent octant was not dense: point dropped
       }
-      ++counts[octant_code(p, depth)];
+      ++counts[code];
     }
     dense.clear();
     std::uint64_t clustered = 0;
@@ -166,6 +179,7 @@ Result reference(const RunOptions& opts) {
 }
 
 Result run_mimir(simmpi::Context& ctx, const RunOptions& opts) {
+  check_depth(opts);
   const std::uint64_t threshold = std::max<std::uint64_t>(
       1, static_cast<std::uint64_t>(opts.density *
                                     static_cast<double>(opts.num_points)));
@@ -190,11 +204,11 @@ Result run_mimir(simmpi::Context& ctx, const RunOptions& opts) {
     job.map_custom(
         [&](mimir::Emitter& out) {
           for (const Point& p : points) {
-            if (depth > 1 && state.dense.find(octant_code(p, depth - 1)) ==
-                                 state.dense.end()) {
+            const std::uint64_t code = octant_code(p, depth);
+            if (depth > 1 &&
+                state.dense.find(code >> 3) == state.dense.end()) {
               continue;
             }
-            const std::uint64_t code = octant_code(p, depth);
             out.emit(mimir::as_view(code), std::uint64_t{1});
           }
         },
@@ -228,6 +242,7 @@ Result run_mimir(simmpi::Context& ctx, const RunOptions& opts) {
 
 Result run_mrmpi(simmpi::Context& ctx, const RunOptions& opts,
                  mrmpi::OocMode ooc) {
+  check_depth(opts);
   const std::uint64_t threshold = std::max<std::uint64_t>(
       1, static_cast<std::uint64_t>(opts.density *
                                     static_cast<double>(opts.num_points)));
@@ -244,11 +259,10 @@ Result run_mrmpi(simmpi::Context& ctx, const RunOptions& opts,
   for (int depth = 1; depth <= opts.max_depth; ++depth) {
     mr.map_custom([&](mimir::Emitter& out) {
       for (const Point& p : points) {
-        if (depth > 1 && state.dense.find(octant_code(p, depth - 1)) ==
-                             state.dense.end()) {
+        const std::uint64_t code = octant_code(p, depth);
+        if (depth > 1 && state.dense.find(code >> 3) == state.dense.end()) {
           continue;
         }
-        const std::uint64_t code = octant_code(p, depth);
         out.emit(mimir::as_view(code), mimir::as_view(std::uint64_t{1}));
       }
     });

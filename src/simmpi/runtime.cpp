@@ -12,7 +12,37 @@
 #include "stats/registry.hpp"
 #include "stats/trace.hpp"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 namespace simmpi {
+
+namespace {
+
+/// Keep the host heap's freed pages mapped for the rest of the process.
+/// Containers free each page as soon as it is consumed, and glibc's
+/// arenas would hand every such free back to the kernel at once (the
+/// per-thread arenas as soon as their top passes 128 KiB), so the next
+/// page, the next job and its new rank threads fault the same memory in
+/// again. A trim threshold of "never" stops that; fixing it also
+/// freezes glibc's sliding mmap threshold at 128 KiB, which would send
+/// every larger buffer through mmap/munmap, so that threshold is fixed
+/// at glibc's 32 MiB ceiling. The price is host RSS: each arena keeps
+/// its high-water mark. Memtrack charges, and so every simulated
+/// number, stay as they are.
+void keep_freed_heap_mapped() {
+#if defined(__GLIBC__)
+  static const bool once = [] {
+    mallopt(M_TRIM_THRESHOLD, -1);
+    mallopt(M_MMAP_THRESHOLD, 32 << 20);
+    return true;
+  }();
+  (void)once;
+#endif
+}
+
+}  // namespace
 
 JobStats run(int nranks, const simtime::MachineProfile& machine,
              pfs::FileSystem& fs, const RankFn& fn,
@@ -71,6 +101,7 @@ JobStats run(int nranks, const simtime::MachineProfile& machine,
     });
   }
 
+  keep_freed_heap_mapped();
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(nranks));
   for (int r = 0; r < nranks; ++r) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "mutil/error.hpp"
+
 namespace {
 
 using apps::oc::octant_code;
@@ -18,11 +22,25 @@ TEST(Octree, MortonCodeBasics) {
 }
 
 TEST(Octree, MortonCodeRefines) {
-  const Point p{0.3f, 0.6f, 0.9f};
-  // A child code's top three bits are its parent's code.
-  for (int depth = 1; depth < 8; ++depth) {
-    EXPECT_EQ(octant_code(p, depth + 1) >> 3, octant_code(p, depth))
-        << "depth " << depth;
+  // A child code's top bits are its parent's code: the map loops test
+  // a point's parent octant as `code >> 3`, so this must hold at every
+  // depth, for clamped and NaN coordinates too.
+  std::vector<Point> points = apps::oc::generate_points(1 << 16, 0, 1, 3);
+  points.push_back({0.3f, 0.6f, 0.9f});
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float edges[] = {0.0f, -0.0f, 1.0f, -1.0f, 2.0f, 0.5f, inf, -inf, nan};
+  for (const float x : edges) {
+    for (const float y : edges) {
+      for (const float z : edges) points.push_back({x, y, z});
+    }
+  }
+  for (const Point& p : points) {
+    for (int depth = 1; depth < apps::oc::kMaxDepth; ++depth) {
+      ASSERT_EQ(octant_code(p, depth + 1) >> 3, octant_code(p, depth))
+          << "(" << p.x << ", " << p.y << ", " << p.z << ") depth "
+          << depth;
+    }
   }
 }
 
@@ -30,6 +48,8 @@ TEST(Octree, OutOfRangeCoordinatesClamp) {
   EXPECT_EQ(octant_code({-3.0f, -1.0f, -0.5f}, 2), octant_code({0, 0, 0}, 2));
   EXPECT_EQ(octant_code({4.0f, 2.0f, 1.5f}, 2),
             octant_code({0.999f, 0.999f, 0.999f}, 2));
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_EQ(octant_code({nan, 0.9f, nan}, 3), octant_code({0, 0.9f, 0}, 3));
 }
 
 TEST(Octree, GenerationIsRankPartitioned) {
@@ -65,6 +85,47 @@ TEST(Octree, ReferenceFindsDenseRegions) {
   EXPECT_GT(ref.levels, 1);
   EXPECT_GT(ref.dense_octants, 0u);
   EXPECT_GT(ref.clustered_points, 0u);
+}
+
+// Every occupied octant is dense (threshold 1), so a run refines all
+// the way to max_depth.
+RunOptions all_dense(int max_depth) {
+  RunOptions opts;
+  opts.num_points = 64;
+  opts.density = 0.0;
+  opts.max_depth = max_depth;
+  return opts;
+}
+
+TEST(Octree, RefinesToDepth21AndRejectsDepth22) {
+  // Past depth 21 distinct octants would share a Morton code.
+  const RunOptions deepest = all_dense(apps::oc::kMaxDepth);
+  const auto ref = apps::oc::reference(deepest);
+  EXPECT_EQ(ref.levels, apps::oc::kMaxDepth);
+  EXPECT_EQ(ref.clustered_points, 64u);
+  EXPECT_THROW(apps::oc::reference(all_dense(apps::oc::kMaxDepth + 1)),
+               mutil::ConfigError);
+  EXPECT_THROW(apps::oc::reference(all_dense(0)), mutil::ConfigError);
+
+  for (const bool mrmpi : {false, true}) {
+    SCOPED_TRACE(mrmpi ? "mrmpi" : "mimir");
+    const auto run = [mrmpi](const RunOptions& opts) {
+      apps::oc::Result result;
+      simmpi::run_test(2, [&](simmpi::Context& ctx) {
+        const auto r = mrmpi ? apps::oc::run_mrmpi(ctx, opts)
+                             : apps::oc::run_mimir(ctx, opts);
+        if (ctx.rank() == 0) result = r;
+      });
+      return result;
+    };
+    const auto result = run(deepest);
+    EXPECT_EQ(result.levels, apps::oc::kMaxDepth);
+    EXPECT_EQ(result.dense_octants, ref.dense_octants);
+    EXPECT_EQ(result.checksum, ref.checksum);
+    EXPECT_THROW(run(all_dense(apps::oc::kMaxDepth + 1)),
+                 mutil::ConfigError);
+    EXPECT_THROW(run(all_dense(0)), mutil::ConfigError);
+  }
 }
 
 struct OcCase {

@@ -1,9 +1,22 @@
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <vector>
 
 #include "mutil/error.hpp"
 #include "simmpi/runtime.hpp"
+
+// ASan and TSan replace glibc's allocator with their own, which ignores
+// the heap policy simmpi::run sets.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define MIMIR_SANITIZER_HEAP 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define MIMIR_SANITIZER_HEAP 1
+#endif
+#endif
 
 namespace {
 
@@ -101,6 +114,44 @@ TEST(Runtime, ManyRanksComplete) {
     EXPECT_EQ(ctx.comm.allreduce_u64(1, simmpi::Op::kSum), 64u);
   });
   EXPECT_EQ(count.load(), 64);
+}
+
+TEST(Runtime, RepeatedJobFaultsNoPagesAgain) {
+#if defined(MIMIR_SANITIZER_HEAP)
+  GTEST_SKIP() << "the sanitizer's allocator ignores glibc's heap policy";
+#elif !defined(__GLIBC__)
+  GTEST_SKIP() << "the heap policy is glibc's";
+#else
+  // Each rank fills 16 MiB of 64 KiB pages, frees them and fills them
+  // again. Once the first job has faulted that memory in, the second
+  // job's rank threads must find it still mapped.
+  static constexpr std::size_t kBuffers = 256;
+  static constexpr std::size_t kBufferBytes = std::size_t{64} << 10;
+  static constexpr int kRanks = 2;
+  const auto job = [](Context& ctx) {
+    std::vector<memtrack::TrackedBuffer> buffers;
+    buffers.reserve(kBuffers);
+    for (int round = 0; round < 2; ++round) {
+      for (std::size_t i = 0; i < kBuffers; ++i) {
+        buffers.emplace_back(ctx.tracker, kBufferBytes);
+      }
+      buffers.clear();
+    }
+  };
+  const auto minor_faults = [] {
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    return usage.ru_minflt;
+  };
+  const long pages = static_cast<long>(kRanks * kBuffers * kBufferBytes) /
+                     sysconf(_SC_PAGESIZE);
+
+  simmpi::run_test(kRanks, job);
+  const long before = minor_faults();
+  simmpi::run_test(kRanks, job);
+  EXPECT_LT(minor_faults() - before, pages / 10)
+      << "the second job faulted its " << pages << " pages in again";
+#endif
 }
 
 }  // namespace
